@@ -1,8 +1,8 @@
 // ABL-* — ablations of the design choices DESIGN.md calls out:
 //
 //   ABL-1  early termination: drop completed traces from pointer-jumping
-//          rounds (the paper's requirement) vs visiting all n each round.
-//          Metric: ⊙ applications / PRAM work.
+//          rounds (the paper's requirement) vs visiting all n each round,
+//          on the PRAM simulator.  Metric: PRAM work (instructions).
 //   ABL-2  processor cap: the paper's "fork only up to P processes"
 //          T(n,P) = (n/P)·log n sweep on the PRAM simulator, P up to n —
 //          showing where extra processors stop helping (P > peak width).
@@ -11,10 +11,9 @@
 //          edge blowup for O(log) depth.  Metric: wall time + peak edges.
 //   ABL-4  CAP per-round coalescing (paper's paths-addition every round)
 //          vs merging once at the end.  Metric: peak intermediate edges.
-// Exercises the deprecated one-shot shims (core/compat.hpp) on purpose;
-// the define keeps -Werror builds green without losing the diagnostic
-// elsewhere.
-#define IR_COMPAT_ALLOW_DEPRECATED
+//
+// The host-side sections compile a forced plan per measurement
+// (compile_plan + execute_plan), so each timing includes its compile.
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -22,9 +21,8 @@
 #include "algebra/monoids.hpp"
 #include "core/general_ir.hpp"
 #include "core/ordinary_ir.hpp"
-#include "core/ordinary_ir_blocked.hpp"
 #include "core/ordinary_ir_pram.hpp"
-#include "core/compat.hpp"
+#include "core/plan.hpp"
 #include "support/table.hpp"
 #include "support/timer.hpp"
 #include "testing_workloads.hpp"
@@ -34,28 +32,27 @@ using namespace ir;
 namespace {
 
 void ablation_early_termination() {
-  std::printf("ABL-1: early termination of completed traces\n");
+  std::printf("ABL-1: early termination of completed traces (PRAM simulator, P = 8)\n");
   support::TextTable table;
-  table.set_header({"n", "rounds", "ops (early-term)", "ops (naive)", "saving"});
+  table.set_header({"n", "steps", "work (early-term)", "work (naive)", "saving"});
   const auto op = algebra::AddMonoid<std::uint64_t>{};
   for (std::size_t n : {1000u, 10000u, 50000u}) {
     support::SplitMix64 rng(n);
     const auto sys = bench::random_ordinary_system(n, n + n / 2, rng, 0.9);
     const auto init = bench::random_initial_u64(n + n / 2, rng);
-    core::OrdinaryIrStats eager, naive;
-    core::OrdinaryIrOptions eager_opt, naive_opt;
-    eager_opt.stats = &eager;
-    naive_opt.early_termination = false;
-    naive_opt.stats = &naive;
-    (void)core::ordinary_ir_parallel(op, sys, init, eager_opt);
-    (void)core::ordinary_ir_parallel(op, sys, init, naive_opt);
-    table.add_row({std::to_string(n), std::to_string(eager.rounds),
-                   std::to_string(eager.op_applications),
-                   std::to_string(naive.op_applications),
-                   support::fmt_f(100.0 * (1.0 - static_cast<double>(eager.op_applications) /
-                                                     static_cast<double>(naive.op_applications)),
-                                  1) +
-                       "%"});
+    pram::Machine eager(8, pram::AccessMode::kCrew, pram::CostModel{}, false);
+    pram::Machine naive(8, pram::AccessMode::kCrew, pram::CostModel{}, false);
+    const auto a = core::ordinary_ir_pram_parallel(op, sys, init, eager, true);
+    const auto b = core::ordinary_ir_pram_parallel(op, sys, init, naive, false);
+    if (a != b) {
+      std::printf("ERROR: solver mismatch\n");
+      return;
+    }
+    const double saving = 1.0 - static_cast<double>(eager.stats().work) /
+                                    static_cast<double>(naive.stats().work);
+    table.add_row({std::to_string(n), std::to_string(eager.stats().steps),
+                   std::to_string(eager.stats().work), std::to_string(naive.stats().work),
+                   support::fmt_f(100.0 * saving, 1) + "%"});
   }
   std::printf("%s\n", table.render().c_str());
 }
@@ -97,20 +94,19 @@ void ablation_cap_vs_dp() {
     std::vector<std::uint64_t> init(n / 2);
     for (auto& v : init) v = 1 + rng.below(1'000'000'006ull);
 
-    graph::CapResult cap_stats;
-    core::GeneralIrOptions cap_opt;
-    cap_opt.cap_out = &cap_stats;
+    core::PlanOptions options{.engine = core::EngineChoice::kGeneralCap,
+                              .prune_dead = false};
     support::Stopwatch watch;
-    const auto via_cap = core::general_ir_parallel(op, sys, init, cap_opt);
+    const core::Plan cap = core::compile_plan(sys, options);
+    const auto via_cap = core::execute_plan(cap, op, init);
     const double cap_ms = watch.lap() * 1e3;
 
-    core::GeneralIrOptions dp_opt;
-    dp_opt.reference_counts = true;
-    const auto via_dp = core::general_ir_parallel(op, sys, init, dp_opt);
+    options.reference_counts = true;
+    const auto via_dp = core::execute_plan(core::compile_plan(sys, options), op, init);
     const double dp_ms = watch.lap() * 1e3;
 
     table.add_row({std::to_string(n), support::fmt_f(cap_ms, 2), support::fmt_f(dp_ms, 2),
-                   std::to_string(cap_stats.rounds), std::to_string(cap_stats.peak_edges),
+                   std::to_string(cap.gir.cap_rounds), std::to_string(cap.gir.cap_peak_edges),
                    via_cap == via_dp ? "yes" : "NO"});
   }
   std::printf("%s\n", table.render().c_str());
@@ -165,15 +161,15 @@ void ablation_blocked_vs_jumping() {
       const auto init = bench::random_initial_u64(sys.cells, rng);
 
       core::OrdinaryIrStats jump_stats;
-      core::OrdinaryIrOptions jump_opt;
-      jump_opt.stats = &jump_stats;
-      const auto a = core::ordinary_ir_parallel(op, sys, init, jump_opt);
+      const auto a =
+          core::execute_plan(core::compile_plan(sys, {.engine = core::EngineChoice::kJumping}),
+                             op, init, {.ordinary_stats = &jump_stats});
 
       core::BlockedIrStats block_stats;
-      core::BlockedIrOptions block_opt;
-      block_opt.blocks = blocks;
-      block_opt.stats = &block_stats;
-      const auto b = core::ordinary_ir_blocked(op, sys, init, block_opt);
+      const core::PlanOptions block_opt{.engine = core::EngineChoice::kBlocked,
+                                        .blocks = blocks};
+      const auto b = core::execute_plan(core::compile_plan(sys, block_opt), op, init,
+                                        {.blocked_stats = &block_stats});
       if (a != b) {
         std::printf("ERROR: solver mismatch\n");
         return;
@@ -206,13 +202,15 @@ void ablation_spmd_vs_forkjoin() {
     const auto init = bench::random_initial_u64(n + n / 2, rng);
     for (std::size_t workers : {2u, 4u}) {
       parallel::ThreadPool pool(workers);
-      core::OrdinaryIrOptions options;
-      options.pool = &pool;
       support::Stopwatch watch;
-      const auto a = core::ordinary_ir_parallel(op, sys, init, options);
+      const auto a =
+          core::execute_plan(core::compile_plan(sys, {.engine = core::EngineChoice::kJumping}),
+                             op, init, {.pool = &pool});
       const double fork_ms = watch.lap() * 1e3;
 
-      const auto b = core::ordinary_ir_spmd(op, sys, init, workers);
+      const auto b =
+          core::execute_plan(core::compile_plan(sys, {.engine = core::EngineChoice::kSpmd}),
+                             op, init, {.workers = workers});
       const double spmd_ms = watch.lap() * 1e3;
       if (a != b) {
         std::printf("ERROR: solver mismatch\n");

@@ -5,16 +5,13 @@
 //                      like Fibonacci numbers; measures the real cost of the
 //                      power-as-atomic assumption.
 //   BM_CapReferenceDp— the sequential work-efficient DP on the same graphs.
-//   BM_GirEndToEnd   — full GIR solve (graph build + CAP + powered eval).
-// Exercises the deprecated one-shot shims (core/compat.hpp) on purpose;
-// the define keeps -Werror builds green without losing the diagnostic
-// elsewhere.
-#define IR_COMPAT_ALLOW_DEPRECATED
+//   BM_GirEndToEnd   — full GIR solve (graph build + CAP + powered eval):
+//                      a forced CAP plan compiled and executed per call.
 #include <benchmark/benchmark.h>
 
 #include "algebra/monoids.hpp"
-#include "core/compat.hpp"
 #include "core/general_ir.hpp"
+#include "core/plan.hpp"
 #include "graph/cap.hpp"
 #include "testing_workloads.hpp"
 
@@ -79,8 +76,10 @@ void BM_GirEndToEnd(benchmark::State& state) {
   algebra::ModMulMonoid op(1'000'000'007ull);
   std::vector<std::uint64_t> init(n / 2);
   for (auto& v : init) v = 1 + rng.below(1'000'000'006ull);
+  const core::PlanOptions options{.engine = core::EngineChoice::kGeneralCap,
+                                  .prune_dead = false};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::general_ir_parallel(op, sys, init));
+    benchmark::DoNotOptimize(core::execute_plan(core::compile_plan(sys, options), op, init));
   }
 }
 BENCHMARK(BM_GirEndToEnd)->Arg(500)->Arg(1000)->Arg(2000);

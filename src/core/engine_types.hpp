@@ -1,8 +1,6 @@
-// Statistics and option structs shared between the legacy engine entry
-// points (ordinary_ir.hpp, ordinary_ir_blocked.hpp) and the Plan/execute API
-// (plan.hpp).  They live in their own header so plan.hpp can name them
-// without pulling in the engines, and the engines can include plan.hpp for
-// their deprecated shims without an include cycle.
+// Statistics and option structs shared between the linear/Möbius solvers
+// (linear_ir.hpp) and the Plan/execute API (plan.hpp).  They live in their
+// own header so plan.hpp can name them without pulling in either side.
 #pragma once
 
 #include <cstddef>
@@ -11,28 +9,24 @@
 
 namespace ir::core {
 
-/// Execution statistics of a parallel Ordinary-IR run (observability for
-/// tests and the ablation benches).
+/// Execution statistics of an ordinary-engine run (observability for tests
+/// and the ablation benches).
 struct OrdinaryIrStats {
   std::size_t rounds = 0;           ///< pointer-jumping rounds executed
-  std::size_t op_applications = 0;  ///< total ⊙ applications across rounds
+  std::size_t op_applications = 0;  ///< total ⊙ applications, root seeds included
   std::size_t peak_active = 0;      ///< widest round (active traces)
 };
 
-/// Options for the parallel solver.
+/// Options for the linear/Möbius solvers (linear_ir.hpp).
 struct OrdinaryIrOptions {
-  /// Thread pool for the rounds; nullptr runs them on the calling thread
-  /// (still the same O(log n)-round schedule, useful for determinism).
+  /// Thread pool for the rounds, and the sizing hint of the plan's
+  /// blocked-vs-jumping choice; nullptr runs them on the calling thread
+  /// (still the same schedule, useful for determinism).
   parallel::ThreadPool* pool = nullptr;
 
-  /// The paper's "fork only up to P processes" cap on logical parallelism.
-  /// 0 means "one block per pool thread".
+  /// The paper's "fork only up to P processes" cap on logical parallelism
+  /// of the jumping rounds.  0 means "one block per pool thread".
   std::size_t processor_cap = 0;
-
-  /// Drop completed traces from subsequent rounds (the paper's "once a trace
-  /// has been completed we must not continue to concatenate").  Turning this
-  /// off reproduces the naive variant measured by the ablation bench.
-  bool early_termination = true;
 
   /// If non-null, filled with run statistics.
   OrdinaryIrStats* stats = nullptr;
@@ -42,15 +36,8 @@ struct OrdinaryIrOptions {
 struct BlockedIrStats {
   std::size_t blocks = 0;           ///< blocks used in phase 1
   std::size_t partials = 0;         ///< equations with cross-block predecessors
-  std::size_t resolve_rounds = 0;   ///< pointer-jumping rounds over the partials
+  std::size_t resolve_rounds = 0;   ///< blocks with a non-empty fix-up step
   std::size_t op_applications = 0;  ///< total ⊙ applications (work)
-};
-
-/// Options for the blocked solver.
-struct BlockedIrOptions {
-  parallel::ThreadPool* pool = nullptr;  ///< phases 1/2 run here when set
-  std::size_t blocks = 0;                ///< 0 = one block per pool thread (or 1)
-  BlockedIrStats* stats = nullptr;
 };
 
 }  // namespace ir::core

@@ -291,26 +291,18 @@ BatchView<typename Op::Value> execute_wide(const Plan& plan, const Op& op,
     case PlanEngine::kElementwise:
       return detail::wide_execute_elementwise(op, plan, batch);
     case PlanEngine::kJumping:
-    case PlanEngine::kSpmd: {
-      auto result = detail::wide_execute_jump(op, plan, std::move(batch));
-      if (exec.ordinary_stats != nullptr) {
-        exec.ordinary_stats->rounds = plan.jump.rounds();
-        exec.ordinary_stats->op_applications = plan.jump.seed_ops + plan.jump.moves();
-        exec.ordinary_stats->peak_active = plan.jump.peak_active;
-      }
-      return result;
-    }
-    case PlanEngine::kScan: {
-      auto result = detail::wide_execute_scan(op, plan, std::move(batch));
-      if (exec.ordinary_stats != nullptr) {
-        exec.ordinary_stats->rounds = plan.iterations == 0 ? 0 : 1;
-        exec.ordinary_stats->op_applications = plan.iterations;
-        exec.ordinary_stats->peak_active = plan.scan.longest;
-      }
-      return result;
-    }
+    case PlanEngine::kSpmd:
+      batch = detail::wide_execute_jump(op, plan, std::move(batch));
+      detail::record_exec_stats(plan, exec);
+      return batch;
+    case PlanEngine::kScan:
+      batch = detail::wide_execute_scan(op, plan, std::move(batch));
+      detail::record_exec_stats(plan, exec);
+      return batch;
     case PlanEngine::kBlocked:
-      return detail::wide_execute_blocked(op, plan, std::move(batch));
+      batch = detail::wide_execute_blocked(op, plan, std::move(batch));
+      detail::record_exec_stats(plan, exec);
+      return batch;
     case PlanEngine::kGeneralCap: {
       // A CAP term fold has no row structure worth exploiting; replay the
       // lanes through the scalar executor so every plan accepts this API.

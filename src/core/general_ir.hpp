@@ -20,6 +20,8 @@
 //      value A₀[x] in the trace of equation i.
 //   3. Evaluate every written cell as the ⊙-product of leaf powers, in
 //      O(log k) tree-fold steps per trace.
+// compile_plan (plan.hpp, EngineChoice::kGeneralCap) runs steps 1-2 once and
+// records the powered leaves per cell; execute_plan runs step 3.
 //
 // Non-distinct g (the extension the paper defers to its full version) needs
 // no special casing: "last writer" edges already encode write-after-write
@@ -79,9 +81,5 @@ std::vector<typename Op::Value> general_ir_sequential(
   }
   return values;
 }
-
-// The one-shot general_ir_parallel wrapper (and its GeneralIrOptions) now
-// lives in core/compat.hpp (deprecated): new code compiles a plan once and
-// replays it.
 
 }  // namespace ir::core

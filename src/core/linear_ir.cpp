@@ -63,31 +63,35 @@ std::vector<double> moebius_ir_run(const Plan& plan,
                                    std::vector<double> x, const ExecOptions& exec) {
   IR_SPAN("moebius.solve");
   IR_REQUIRE(plan.engine == PlanEngine::kJumping || plan.engine == PlanEngine::kBlocked ||
-                 plan.engine == PlanEngine::kSpmd,
-             "moebius_ir_run needs an ordinary-engine plan");
+                 plan.engine == PlanEngine::kSpmd || plan.engine == PlanEngine::kScan,
+             "moebius_ir_run needs an ordinary-engine plan (jumping, blocked, SPMD or scan)");
   IR_REQUIRE(x.size() == plan.cells, "initial array must have `cells` entries");
   IR_REQUIRE(iteration_maps.size() == plan.iterations,
              "need exactly one map per iteration");
   IR_COUNTER_ADD("moebius.solves", 1);
   IR_COUNTER_ADD("moebius.iterations", plan.iterations);
 
-  // Paper Section 3, steps 1-3, with the executor's hooks standing in for
-  // the matrix array: chain roots read constant maps built from the scalar
-  // initial values; each iteration's self operand is its coefficient map.
-  const std::vector<double>& init = x;
-  auto traces = execute_iteration_values<MoebiusCompose>(
-      plan, MoebiusCompose{},
-      [&init](std::size_t cell) { return MoebiusMap::constant(init[cell]); },
-      [&iteration_maps](std::size_t i) { return iteration_maps[i]; }, exec);
+  // Paper Section 3, steps 1-3: the coefficient maps are the operand table
+  // standing in for A[g(i)] (legal because g is injective), and a chain root
+  // folds the constant map of the untouched cell it reads in front of its own.
+  const MoebiusCompose compose{};
+  std::vector<MoebiusMap> traces;
+  traces.reserve(plan.iterations);
+  for (std::size_t i = 0; i < plan.iterations; ++i) {
+    const std::uint32_t root = plan.root_cell[i];
+    traces.push_back(root != kNoIndex32
+                         ? compose.combine(MoebiusMap::constant(x[root]), iteration_maps[i])
+                         : iteration_maps[i]);
+  }
+  replay_traces(plan, compose, traces, exec);
 
-  std::vector<double> result = std::move(x);
   for (std::size_t i = 0; i < plan.iterations; ++i) {
     // Every complete trace starts at a constant root, so the composed map is
     // constant; evaluating it anywhere yields the final value.
     IR_INVARIANT(traces[i].is_constant(), "composed Moebius trace must be constant");
-    result[plan.write_cell[i]] = traces[i].apply(0.0);
+    x[plan.write_cell[i]] = traces[i].apply(0.0);
   }
-  return result;
+  return x;
 }
 
 std::vector<double> moebius_ir_run(const OrdinaryIrSystem& sys,
@@ -96,29 +100,23 @@ std::vector<double> moebius_ir_run(const OrdinaryIrSystem& sys,
   IR_REQUIRE(x.size() == sys.cells, "initial array must have `cells` entries");
   IR_REQUIRE(iteration_maps.size() == sys.iterations(),
              "need exactly one map per iteration");
-  if (!options.early_termination) {
-    // The naive cost model only exists in the legacy hook engine (see
-    // ordinary_ir_parallel); run it directly.
-    IR_SPAN("moebius.solve");
-    IR_COUNTER_ADD("moebius.solves", 1);
-    IR_COUNTER_ADD("moebius.iterations", sys.iterations());
-    const std::vector<double>& init = x;
-    auto traces = ordinary_ir_iteration_values<MoebiusCompose>(
-        MoebiusCompose{}, sys,
-        [&init](std::size_t cell) { return MoebiusMap::constant(init[cell]); },
-        [&iteration_maps](std::size_t i) { return iteration_maps[i]; }, options);
-    std::vector<double> result = std::move(x);
-    for (std::size_t i = 0; i < sys.iterations(); ++i) {
-      IR_INVARIANT(traces[i].is_constant(), "composed Moebius trace must be constant");
-      result[sys.g[i]] = traces[i].apply(0.0);
-    }
-    return result;
-  }
   PlanOptions plan_options;
-  plan_options.engine = EngineChoice::kJumping;
+  plan_options.pool = options.pool;  // sizing hint for the blocked-vs-jumping choice
   // Content-cached: a Livermore kernel calling this once per timed rep pays
   // the schedule construction only on the first rep.
   const auto plan = shared_solver().compile(sys, plan_options);
+  if (plan->engine == PlanEngine::kElementwise) {
+    // Recurrence-free: no iteration reads a cell an earlier one wrote, so
+    // running the loop as written applies each map once to an initial value.
+    IR_SPAN("moebius.solve");
+    IR_COUNTER_ADD("moebius.solves", 1);
+    IR_COUNTER_ADD("moebius.iterations", sys.iterations());
+    for (std::size_t i = 0; i < sys.iterations(); ++i) {
+      x[sys.g[i]] = iteration_maps[i].apply(x[sys.f[i]]);
+    }
+    if (options.stats != nullptr) *options.stats = {0, sys.iterations(), 0};
+    return x;
+  }
   ExecOptions exec;
   exec.pool = options.pool;
   exec.processor_cap = options.processor_cap;

@@ -11,7 +11,8 @@
 // associative ⊙ over array elements.  Lemma 2 repairs that: each iteration
 // becomes a 2x2 coefficient matrix, composition is the singular-aware matrix
 // product ⊗, and the loop becomes an ordinary IR over matrices, solvable in
-// O(log n) rounds.  The self-referential form first substitutes X[g(i)]'s
+// O(log n) rounds — or as one O(n) scan when the loop is a set of chains.
+// The self-referential form first substitutes X[g(i)]'s
 // *initial* value into the coefficients — legal exactly because g is
 // injective ("each reference to X[g(i)] is a reference to its initial
 // value"), giving the paper's matrices
@@ -62,7 +63,7 @@ std::vector<double> self_linear_ir_sequential(const SelfLinearIrLoop& loop,
                                               std::vector<double> x);
 std::vector<double> moebius_ir_sequential(const MoebiusIrLoop& loop, std::vector<double> x);
 
-/// Parallel solvers: Lemma-2 matrices + the Ordinary-IR engine.
+/// Parallel solvers: Lemma-2 matrices + an ordinary plan (moebius_ir_run).
 /// Output matches the sequential reference up to floating-point reassociation.
 std::vector<double> linear_ir_parallel(const LinearIrLoop& loop, std::vector<double> x,
                                        const OrdinaryIrOptions& options = {});
@@ -76,17 +77,22 @@ std::vector<double> moebius_ir_parallel(const MoebiusIrLoop& loop, std::vector<d
 /// per-iteration maps and read the (constant) composed maps off.  Exposed so
 /// the Livermore module can feed custom coefficient maps.
 ///
-/// Compiles (or, via the shared Solver's plan cache, reuses) a jumping plan
-/// for `sys`; repeated calls on the same system pay the schedule cost once.
+/// Compiles (or, via the shared Solver's plan cache, reuses) the kAuto plan
+/// for `sys`, with options.pool as the sizing hint: chains take the O(n)
+/// kScan fold, other systems blocked or jumping, and a recurrence-free loop
+/// applies each map to its initial value directly.  options.stats is filled
+/// whichever route runs.  Repeated calls on one system pay the schedule cost
+/// once.
 std::vector<double> moebius_ir_run(const OrdinaryIrSystem& sys,
                                    const std::vector<algebra::MoebiusMap>& iteration_maps,
                                    std::vector<double> x,
                                    const OrdinaryIrOptions& options = {});
 
-/// Plan-based variant: run a precompiled ordinary plan (jumping, blocked or
-/// SPMD) over the coefficient maps.  The plan carries the whole schedule, so
-/// this touches no index maps beyond the plan's own tables — callers timing
-/// repeated solves should compile once and call this in the loop.
+/// Plan-based variant: run a precompiled ordinary plan (jumping, blocked,
+/// SPMD or scan) over the coefficient maps.  The maps seed the plan's trace
+/// array (replay_traces in plan.hpp), so this touches no index maps beyond
+/// the plan's own tables — callers timing repeated solves should compile
+/// once and call this in the loop.
 std::vector<double> moebius_ir_run(const Plan& plan,
                                    const std::vector<algebra::MoebiusMap>& iteration_maps,
                                    std::vector<double> x, const ExecOptions& exec = {});

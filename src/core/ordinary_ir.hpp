@@ -17,25 +17,19 @@
 // reaching all complete traces in ⌈log₂ n⌉ rounds with one processor per
 // equation.  Operand order is preserved, so ⊙ may be non-commutative.
 //
-// The engine below exposes two customization points used by the Möbius
-// solver (linear_ir.hpp):
-//   * root_value(cell)  — the value a chain root reads from an untouched cell
-//   * self_value(i)     — iteration i's right-hand operand
-// For the plain solver both come straight from the initial array.
+// compile_plan (plan.hpp) records the pred forest as a schedule — jumping
+// rounds, a blocked partition, an SPMD team's rounds, or the kScan fold for
+// pure f(i) = i-1 chains — and execute_plan replays it over a trace array
+// seeded with W(root) and S[g(i)].  This header keeps the loop itself, the
+// oracle every one of those routes is checked against.
 #pragma once
 
-#include <bit>
-#include <functional>
-#include <numeric>
 #include <vector>
 
 #include "algebra/concepts.hpp"
 #include "core/engine_types.hpp"
 #include "core/ir_problem.hpp"
 #include "core/plan.hpp"
-#include "obs/telemetry.hpp"
-#include "parallel/parallel_for.hpp"
-#include "parallel/thread_pool.hpp"
 #include "support/contract.hpp"
 
 namespace ir::core {
@@ -52,118 +46,5 @@ std::vector<typename Op::Value> ordinary_ir_sequential(
   }
   return values;
 }
-
-/// The pointer-jumping engine: returns W(i) for every iteration i.
-///
-/// @param root_value  value read by a chain root from untouched cell `c`
-/// @param self_value  iteration i's right operand (cell g(i)'s initial value
-///                    in the plain solver; the coefficient map in the Möbius
-///                    solver)
-template <algebra::BinaryOperation Op>
-std::vector<typename Op::Value> ordinary_ir_iteration_values(
-    const Op& op, const OrdinaryIrSystem& sys,
-    const std::function<typename Op::Value(std::size_t)>& root_value,
-    const std::function<typename Op::Value(std::size_t)>& self_value,
-    const OrdinaryIrOptions& options = {}) {
-  using Value = typename Op::Value;
-  IR_SPAN("ordinary.solve");
-  sys.validate();
-  const std::size_t n = sys.iterations();
-
-  std::vector<std::size_t> ptr = last_writer_before(sys.g, sys.f, sys.cells);
-  std::vector<Value> val;
-  val.reserve(n);
-  std::size_t initial_ops = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (ptr[i] == kNone) {
-      // Chain root: its trace already starts with the untouched cell's value.
-      val.push_back(op.combine(root_value(sys.f[i]), self_value(i)));
-      ++initial_ops;
-    } else {
-      val.push_back(self_value(i));
-    }
-  }
-
-  OrdinaryIrStats stats;
-  stats.op_applications = initial_ops;
-
-  // Active set: iterations whose trace is not yet complete.
-  std::vector<std::size_t> active;
-  active.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (ptr[i] != kNone) active.push_back(i);
-  }
-
-  const std::size_t max_rounds = static_cast<std::size_t>(std::bit_width(n)) + 2;
-  std::vector<Value> new_val;
-  std::vector<std::size_t> new_ptr;
-
-  auto run_indexed = [&](std::size_t count, const std::function<void(std::size_t)>& body) {
-    if (options.pool != nullptr) {
-      const std::size_t cap =
-          options.processor_cap != 0 ? options.processor_cap : options.pool->size();
-      parallel::parallel_for_capped(*options.pool, count, cap, body);
-    } else {
-      for (std::size_t k = 0; k < count; ++k) body(k);
-    }
-  };
-
-  while (!active.empty()) {
-    IR_SPAN("ordinary.round");
-    IR_HISTOGRAM("ordinary.active_width", active.size());
-    IR_INVARIANT(stats.rounds < max_rounds, "pointer jumping failed to converge");
-    stats.peak_active = std::max(stats.peak_active, active.size());
-    // Without early termination every equation is visited each round (the
-    // completed ones as no-ops); the visit count is what the ablation bench
-    // compares.
-    stats.op_applications += options.early_termination ? active.size() : n;
-
-    // Read phase: every active trace concatenates its predecessor's current
-    // sub-trace.  All reads see the round's input arrays; the write phase
-    // below applies the results afterwards (the PRAM synchronous-step
-    // discipline, here realized with side buffers).
-    new_val.resize(active.size());
-    new_ptr.resize(active.size());
-    run_indexed(active.size(), [&](std::size_t k) {
-      const std::size_t i = active[k];
-      const std::size_t p = ptr[i];
-      new_val[k] = op.combine(val[p], val[i]);
-      new_ptr[k] = ptr[p];
-    });
-
-    // Write phase.
-    run_indexed(active.size(), [&](std::size_t k) {
-      const std::size_t i = active[k];
-      val[i] = std::move(new_val[k]);
-      ptr[i] = new_ptr[k];
-    });
-
-    ++stats.rounds;
-
-    // A trace whose pointer reached kNone is complete; it must not absorb
-    // any further sub-traces (paper: "no more redundant traces should be
-    // added to it").  Dropping it from the active set enforces that; the
-    // early_termination flag above only changes the *cost model* (whether
-    // completed traces still pay a no-op visit), never correctness.
-    std::size_t kept = 0;
-    for (std::size_t k = 0; k < active.size(); ++k) {
-      if (ptr[active[k]] != kNone) active[kept++] = active[k];
-    }
-    active.resize(kept);
-  }
-
-  // Bridge into the metrics registry so simulated and wall-clock runs share
-  // one vocabulary (docs/observability.md lists the catalog).
-  IR_COUNTER_ADD("ordinary.solves", 1);
-  IR_COUNTER_ADD("ordinary.rounds", stats.rounds);
-  IR_COUNTER_ADD("ordinary.op_applications", stats.op_applications);
-  IR_GAUGE_MAX("ordinary.peak_active", stats.peak_active);
-
-  if (options.stats != nullptr) *options.stats = stats;
-  return val;
-}
-
-// The one-shot ordinary_ir_parallel wrapper now lives in core/compat.hpp
-// (deprecated): new code compiles a plan once and replays it.
 
 }  // namespace ir::core

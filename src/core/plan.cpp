@@ -68,6 +68,32 @@ bool prefer_blocked(const GeneralIrSystem& sys, std::size_t blocks, double thres
   return measure_cross_block_fraction(sys, blocks) < threshold;
 }
 
+void record_exec_stats(const Plan& plan, const ExecOptions& exec) {
+  OrdinaryIrStats stats;
+  switch (plan.engine) {
+    case PlanEngine::kJumping:
+    case PlanEngine::kSpmd:
+      stats = {plan.jump.rounds(), plan.jump.seed_ops + plan.jump.moves(),
+               plan.jump.peak_active};
+      break;
+    case PlanEngine::kScan:
+      stats = {plan.iterations == 0 ? 0u : 1u, plan.iterations, plan.scan.longest};
+      break;
+    case PlanEngine::kBlocked: {
+      const BlockedSchedule& bs = plan.blocked;
+      const std::size_t ops = bs.phase1_ops + bs.partials();
+      if (exec.blocked_stats != nullptr) {
+        *exec.blocked_stats = {bs.blocks.size(), bs.partials(), bs.resolve_rounds, ops};
+      }
+      stats = {bs.resolve_rounds, ops, bs.blocks.size()};
+      break;
+    }
+    default:
+      return;
+  }
+  if (exec.ordinary_stats != nullptr) *exec.ordinary_stats = stats;
+}
+
 }  // namespace detail
 
 namespace {
@@ -461,7 +487,7 @@ Plan compile_plan(const GeneralIrSystem& sys, const PlanOptions& options) {
     return pred;
   };
 
-  // Routing: kAuto reproduces the classic solve() decision tree, with one
+  // Routing: elementwise / blocked-vs-jumping / GIR by shape, with one
   // refinement — chain-structured ordinary systems take the scan fast route
   // (O(n) sequential fold instead of O(n log n) jumping moves).
   EngineChoice choice = options.engine;

@@ -12,10 +12,12 @@
 //   Plan plan = compile_plan(sys, options);      // structure work, once
 //   auto out  = execute_plan(plan, op, values);  // value work, many times
 //
-// The engines' legacy free functions (ordinary_ir_parallel, ...) remain as
-// deprecated shims that compile a plan per call; the Solver facade in
-// solver.hpp adds a content-addressed PlanCache so even those calls reuse
-// schedules across invocations.
+// Every parallel route runs through a plan: the ordinary executors replay
+// their schedule over a per-iteration trace array (replay_traces), which
+// execute_plan seeds from the initial array and the Möbius route
+// (linear_ir.hpp) from its coefficient maps.  The Solver facade in
+// solver.hpp adds a content-addressed PlanCache so repeated compiles of one
+// system reuse its schedule.
 //
 // Schedules store indices as uint32 (plans refuse systems with 2^32 or more
 // cells/iterations): the jumping schedule is O(n log n) entries in the worst
@@ -58,9 +60,9 @@ enum class PlanEngine { kElementwise, kJumping, kBlocked, kSpmd, kGeneralCap, kS
 
 [[nodiscard]] std::string to_string(PlanEngine engine);
 
-/// Engine selection knob for compile_plan: kAuto reproduces the classic
-/// solve() routing (elementwise / blocked-vs-jumping / GIR) with one
-/// refinement — chain-structured ordinary systems take the kScan fast route.
+/// Engine selection knob for compile_plan: kAuto routes by shape
+/// (elementwise / blocked-vs-jumping / GIR) with one refinement —
+/// chain-structured ordinary systems take the kScan fast route.
 /// The rest force one engine (the ordinary engines require h = g with
 /// injective g; kScan additionally requires the chain structure).
 enum class EngineChoice {
@@ -78,15 +80,15 @@ struct PlanOptions {
   parallel::ThreadPool* pool = nullptr;
 
   /// Cross-block dependence fraction below which kAuto prefers the blocked
-  /// solver over pointer jumping (same knob as SolveOptions).
+  /// solver over pointer jumping.
   double blocked_threshold = 0.25;
 
   /// Blocked partition size; 0 = one block per pool thread (or 1).
   std::size_t blocks = 0;
 
-  /// General-IR route: skip equations nobody reads (kAuto routing keeps the
-  /// classic solve() default of true; the general_ir_parallel shim passes
-  /// its own default of false through).
+  /// General-IR route: skip equations nobody reads (the paper's "version
+  /// which avoids spawning unnecessary processes"; false runs its plain
+  /// algorithm over every equation).
   bool prune_dead = true;
 
   /// General-IR route: CAP edge coalescing per round vs at the end.
@@ -117,7 +119,7 @@ struct ExecOptions {
   std::size_t processor_cap = 0;         ///< jumping fork cap (0 = pool size)
   std::size_t workers = 0;               ///< SPMD persistent workers (0 = 1)
   ExecVariant variant = ExecVariant::kAuto;   ///< batch executor selection
-  OrdinaryIrStats* ordinary_stats = nullptr;  ///< filled for jumping/SPMD/scan plans
+  OrdinaryIrStats* ordinary_stats = nullptr;  ///< filled for every ordinary-engine plan
   BlockedIrStats* blocked_stats = nullptr;    ///< filled for blocked plans
 };
 
@@ -328,28 +330,33 @@ namespace detail {
 /// measure_cross_block_fraction), never a nearest-bucket profile lookup.
 bool prefer_blocked(const GeneralIrSystem& sys, std::size_t blocks, double threshold);
 
+/// Fill exec's stats sinks for an ordinary-engine plan.  Every figure is a
+/// property of the schedule, so the scalar and wide executors report the
+/// same numbers; op_applications counts the root seeds plus the replayed ⊙s
+/// (seed_ops + moves for jumping and SPMD alike).  A blocked plan fills
+/// blocked_stats and also sums itself up in ordinary_stats (rounds = its
+/// fix-up steps, peak_active = its block count), so a caller holding only
+/// OrdinaryIrStats sees every ordinary engine.
+void record_exec_stats(const Plan& plan, const ExecOptions& exec);
+
+/// Round scratch of `width` values.  Values without a default constructor
+/// clone an existing trace instead of resizing.
+template <typename Value>
+void size_scratch(std::vector<Value>& scratch, std::size_t width,
+                  const std::vector<Value>& traces) {
+  if constexpr (std::is_default_constructible_v<Value>) {
+    scratch.resize(width);
+  } else {
+    scratch.assign(width, traces.front());
+  }
+}
+
 template <algebra::BinaryOperation Op>
-std::vector<typename Op::Value> execute_jump_values(
-    const Op& op, const Plan& plan,
-    const std::function<typename Op::Value(std::size_t)>& root_value,
-    const std::function<typename Op::Value(std::size_t)>& self_value,
-    const ExecOptions& exec) {
+void replay_jumping(const Op& op, const Plan& plan, std::vector<typename Op::Value>& val,
+                    const ExecOptions& exec) {
   using Value = typename Op::Value;
   IR_SPAN("ordinary.solve");
   const JumpSchedule& js = plan.jump;
-  const std::size_t n = plan.iterations;
-
-  std::vector<Value> val;
-  val.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t root = plan.root_cell[i];
-    if (root != kNoIndex32) {
-      // Chain root: its trace already starts with the untouched cell's value.
-      val.push_back(op.combine(root_value(root), self_value(i)));
-    } else {
-      val.push_back(self_value(i));
-    }
-  }
 
   auto run_indexed = [&](std::size_t count, const std::function<void(std::size_t)>& body) {
     if (exec.pool != nullptr) {
@@ -367,16 +374,9 @@ std::vector<typename Op::Value> execute_jump_values(
     const auto [begin, round_end] = js.round_span(r);
     const std::size_t width = round_end - begin;
     IR_HISTOGRAM("ordinary.active_width", width);
-    // Read phase into the side buffer, then write phase — the same
-    // synchronous-step discipline as the legacy engine, but the active set
-    // is a precompiled slice instead of a maintained vector.  Values without
-    // a default constructor clone an existing element instead of resizing;
-    // either way the hooks are never re-invoked here.
-    if constexpr (std::is_default_constructible_v<Value>) {
-      new_val.resize(width);
-    } else {
-      new_val.assign(width, val.front());
-    }
+    // Read phase into the side buffer, then write phase: the synchronous
+    // PRAM step, with the active set a precompiled slice of the schedule.
+    size_scratch(new_val, width, val);
     run_indexed(width, [&](std::size_t k) {
       new_val[k] = op.combine(val[js.src[begin + k]], val[js.dst[begin + k]]);
     });
@@ -389,45 +389,21 @@ std::vector<typename Op::Value> execute_jump_values(
   IR_COUNTER_ADD("ordinary.rounds", js.rounds());
   IR_COUNTER_ADD("ordinary.op_applications", js.seed_ops + js.moves());
   IR_GAUGE_MAX("ordinary.peak_active", js.peak_active);
-  if (exec.ordinary_stats != nullptr) {
-    exec.ordinary_stats->rounds = js.rounds();
-    exec.ordinary_stats->op_applications = js.seed_ops + js.moves();
-    exec.ordinary_stats->peak_active = js.peak_active;
-  }
-  return val;
 }
 
 template <algebra::BinaryOperation Op>
-std::vector<typename Op::Value> execute_blocked_values(
-    const Op& op, const Plan& plan,
-    const std::function<typename Op::Value(std::size_t)>& root_value,
-    const std::function<typename Op::Value(std::size_t)>& self_value,
-    const ExecOptions& exec) {
-  using Value = typename Op::Value;
+void replay_blocked(const Op& op, const Plan& plan, std::vector<typename Op::Value>& val,
+                    const ExecOptions& exec) {
   IR_SPAN("blocked.solve");
   const BlockedSchedule& bs = plan.blocked;
-  const std::size_t n = plan.iterations;
 
-  std::vector<Value> val;
-  val.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) val.push_back(self_value(i));
-
-  BlockedIrStats stats;
-  stats.blocks = bs.blocks.size();
-  stats.partials = bs.partials();
-  stats.resolve_rounds = bs.resolve_rounds;
-  stats.op_applications = bs.phase1_ops + bs.partials();
-
-  // Phase 1: block-local sequential sweeps over the precompiled local preds.
+  // Phase 1: block-local sequential sweeps over the precompiled local preds
+  // (chain roots arrive seeded, so they have nothing left to fold).
   auto sweep = [&](std::size_t b) {
     const auto& block = bs.blocks[b];
     for (std::size_t i = block.begin; i < block.end; ++i) {
-      const std::uint32_t root = plan.root_cell[i];
-      if (root != kNoIndex32) {
-        val[i] = op.combine(root_value(root), val[i]);
-      } else if (bs.local_pred[i] != kNoIndex32) {
-        val[i] = op.combine(val[bs.local_pred[i]], val[i]);
-      }
+      const std::uint32_t pred = bs.local_pred[i];
+      if (pred != kNoIndex32) val[i] = op.combine(val[pred], val[i]);
     }
   };
   {
@@ -457,152 +433,97 @@ std::vector<typename Op::Value> execute_blocked_values(
   }
 
   IR_COUNTER_ADD("blocked.solves", 1);
-  IR_COUNTER_ADD("blocked.blocks", stats.blocks);
-  IR_COUNTER_ADD("blocked.partials", stats.partials);
-  IR_COUNTER_ADD("blocked.resolve_rounds", stats.resolve_rounds);
-  IR_COUNTER_ADD("blocked.op_applications", stats.op_applications);
-  if (exec.blocked_stats != nullptr) *exec.blocked_stats = stats;
-  return val;
+  IR_COUNTER_ADD("blocked.blocks", bs.blocks.size());
+  IR_COUNTER_ADD("blocked.partials", bs.partials());
+  IR_COUNTER_ADD("blocked.resolve_rounds", bs.resolve_rounds);
+  IR_COUNTER_ADD("blocked.op_applications", bs.phase1_ops + bs.partials());
 }
 
 template <algebra::BinaryOperation Op>
-std::vector<typename Op::Value> execute_scan_values(
-    const Op& op, const Plan& plan,
-    const std::function<typename Op::Value(std::size_t)>& root_value,
-    const std::function<typename Op::Value(std::size_t)>& self_value,
-    const ExecOptions& exec) {
-  using Value = typename Op::Value;
+void replay_scan(const Op& op, const Plan& plan, std::vector<typename Op::Value>& val) {
   IR_SPAN("scan.solve");
-  const ScanSchedule& ss = plan.scan;
-  const std::size_t n = plan.iterations;
-
-  std::vector<Value> val;
-  val.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t root = plan.root_cell[i];
-    val.push_back(root != kNoIndex32 ? op.combine(root_value(root), self_value(i))
-                                     : self_value(i));
-  }
   // The chain fold runs left-to-right exactly like the sequential reference,
   // so it is bit-identical for ANY op — a Kogge-Stone segmented scan would
   // reassociate.  It is also O(n) work versus jumping's O(n log n) moves;
   // the pool is deliberately ignored (the fold is the critical path).
-  scan::segmented_inclusive_scan_sequential(op, val, ss.head);
+  scan::segmented_inclusive_scan_sequential(op, val, plan.scan.head);
 
   IR_COUNTER_ADD("scan.solves", 1);
-  IR_COUNTER_ADD("scan.op_applications", n);
-  IR_GAUGE_MAX("scan.longest_segment", ss.longest);
-  if (exec.ordinary_stats != nullptr) {
-    exec.ordinary_stats->rounds = n == 0 ? 0 : 1;
-    exec.ordinary_stats->op_applications = n;
-    exec.ordinary_stats->peak_active = ss.longest;
-  }
-  return val;
+  IR_COUNTER_ADD("scan.op_applications", plan.iterations);
+  IR_GAUGE_MAX("scan.longest_segment", plan.scan.longest);
 }
 
 template <algebra::BinaryOperation Op>
-std::vector<typename Op::Value> execute_spmd_values(
-    const Op& op, const Plan& plan,
-    const std::function<typename Op::Value(std::size_t)>& root_value,
-    const std::function<typename Op::Value(std::size_t)>& self_value,
-    const ExecOptions& exec) {
+void replay_spmd(const Op& op, const Plan& plan, std::vector<typename Op::Value>& val,
+                 const ExecOptions& exec) {
   using Value = typename Op::Value;
   const JumpSchedule& js = plan.jump;
-  const std::size_t n = plan.iterations;
-  if (n == 0) return {};
-  const std::size_t workers = exec.workers != 0 ? exec.workers : 1;
-
-  // Buffer construction must not invoke the caller's hooks: root_value /
-  // self_value may be stateful (the Möbius solver's counting tests pin the
-  // exact call counts), so filling with self_value(0) copies would be an
-  // observable double evaluation.  Default-constructible values get empty
-  // buffers seeded inside the workers; anything else is seeded sequentially
-  // up front (still exactly one hook call per iteration) and the side buffer
-  // is cloned from an existing element — copies, never hook calls.
-  constexpr bool kSeedInWorkers = std::is_default_constructible_v<Value>;
-  std::vector<Value> val;
-  std::vector<Value> new_val;
-  if constexpr (kSeedInWorkers) {
-    val.resize(n);
-    new_val.resize(js.peak_active);
-  } else {
-    val.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint32_t root = plan.root_cell[i];
-      val.push_back(root != kNoIndex32 ? op.combine(root_value(root), self_value(i))
-                                       : self_value(i));
-    }
-    new_val.assign(js.peak_active, val.front());
+  if (js.rounds() > 0) {
+    const std::size_t workers = exec.workers != 0 ? exec.workers : 1;
+    std::vector<Value> new_val;
+    size_scratch(new_val, js.peak_active, val);
+    parallel::run_spmd(workers, [&](parallel::SpmdContext& ctx) {
+      IR_SET_THREAD_NAME("spmd-worker-" + std::to_string(ctx.worker()));
+      IR_SPAN("spmd.worker");
+      // The round count is fixed by the schedule, so no convergence voting
+      // is needed; a throwing op simply drops this worker from the barrier
+      // (run_spmd's arrive_and_drop) and rethrows after the join.
+      for (std::size_t r = 0; r < js.rounds(); ++r) {
+        IR_SPAN("spmd.round");
+        const auto [round_begin, round_end] = js.round_span(r);
+        const std::size_t width = round_end - round_begin;
+        const auto [wb, we] = ctx.slice(width);
+        for (std::size_t k = wb; k < we; ++k) {
+          new_val[k] =
+              op.combine(val[js.src[round_begin + k]], val[js.dst[round_begin + k]]);
+        }
+        ctx.barrier();
+        for (std::size_t k = wb; k < we; ++k) {
+          val[js.dst[round_begin + k]] = std::move(new_val[k]);
+        }
+        ctx.barrier();
+      }
+    });
   }
-
-  parallel::run_spmd(workers, [&](parallel::SpmdContext& ctx) {
-    IR_SET_THREAD_NAME("spmd-worker-" + std::to_string(ctx.worker()));
-    IR_SPAN("spmd.worker");
-    if constexpr (kSeedInWorkers) {
-      const auto [begin, end] = ctx.slice(n);
-      for (std::size_t i = begin; i < end; ++i) {
-        const std::uint32_t root = plan.root_cell[i];
-        val[i] = (root != kNoIndex32) ? op.combine(root_value(root), self_value(i))
-                                      : self_value(i);
-      }
-    }
-    ctx.barrier();
-
-    // The round count is fixed by the schedule, so no convergence voting is
-    // needed; a throwing op simply drops this worker from the barrier
-    // (run_spmd's arrive_and_drop) and rethrows after the join.
-    for (std::size_t r = 0; r < js.rounds(); ++r) {
-      IR_SPAN("spmd.round");
-      const auto [round_begin, round_end] = js.round_span(r);
-      const std::size_t width = round_end - round_begin;
-      const auto [wb, we] = ctx.slice(width);
-      for (std::size_t k = wb; k < we; ++k) {
-        new_val[k] = op.combine(val[js.src[round_begin + k]], val[js.dst[round_begin + k]]);
-      }
-      ctx.barrier();
-      for (std::size_t k = wb; k < we; ++k) {
-        val[js.dst[round_begin + k]] = std::move(new_val[k]);
-      }
-      ctx.barrier();
-    }
-  });
 
   IR_COUNTER_ADD("spmd.solves", 1);
   IR_COUNTER_ADD("spmd.rounds", js.rounds());
-  IR_COUNTER_ADD("spmd.op_applications", js.moves());
+  IR_COUNTER_ADD("spmd.op_applications", js.seed_ops + js.moves());
   IR_GAUGE_MAX("spmd.peak_active", js.peak_active);
-  if (exec.ordinary_stats != nullptr) {
-    // Legacy SPMD parity: op_applications counts round moves, not seeds.
-    exec.ordinary_stats->rounds = js.rounds();
-    exec.ordinary_stats->op_applications = js.moves();
-    exec.ordinary_stats->peak_active = js.peak_active;
-  }
-  return val;
 }
 
 }  // namespace detail
 
-/// Run an ordinary-engine plan with custom root/self hooks (the Möbius
-/// solver's entry): returns the per-iteration trace values W(i).
+/// Replay an ordinary-engine plan (jumping, blocked, SPMD or scan) over a
+/// per-iteration trace array the caller seeded.  On entry traces[i] holds
+/// iteration i's self operand, with a chain root's untouched cell already
+/// folded in front of it:
+///     traces[i] = R(root_cell[i]) ⊙ S(i)   if root_cell[i] != kNoIndex32
+///     traces[i] = S(i)                     otherwise
+/// On return traces[i] is W(i), the full trace value of iteration i.
+/// execute_plan seeds from the initial array (R = S = initial values, S(i)
+/// read at write_cell[i]); the Möbius route seeds from its coefficient maps.
 template <algebra::BinaryOperation Op>
-std::vector<typename Op::Value> execute_iteration_values(
-    const Plan& plan, const Op& op,
-    const std::function<typename Op::Value(std::size_t)>& root_value,
-    const std::function<typename Op::Value(std::size_t)>& self_value,
-    const ExecOptions& exec = {}) {
+void replay_traces(const Plan& plan, const Op& op, std::vector<typename Op::Value>& traces,
+                   const ExecOptions& exec = {}) {
+  IR_REQUIRE(traces.size() == plan.iterations, "need one seeded trace per iteration");
   switch (plan.engine) {
     case PlanEngine::kJumping:
-      return detail::execute_jump_values(op, plan, root_value, self_value, exec);
+      detail::replay_jumping(op, plan, traces, exec);
+      break;
     case PlanEngine::kBlocked:
-      return detail::execute_blocked_values(op, plan, root_value, self_value, exec);
+      detail::replay_blocked(op, plan, traces, exec);
+      break;
     case PlanEngine::kSpmd:
-      return detail::execute_spmd_values(op, plan, root_value, self_value, exec);
+      detail::replay_spmd(op, plan, traces, exec);
+      break;
     case PlanEngine::kScan:
-      return detail::execute_scan_values(op, plan, root_value, self_value, exec);
+      detail::replay_scan(op, plan, traces);
+      break;
     default:
-      IR_REQUIRE(false, "execute_iteration_values needs an ordinary-engine plan");
-      return {};
+      IR_REQUIRE(false, "replay_traces needs an ordinary-engine plan");
   }
+  detail::record_exec_stats(plan, exec);
 }
 
 /// Execute a compiled plan against one initial-value array.  Pure value
@@ -637,12 +558,17 @@ std::vector<typename Op::Value> execute_plan(const Plan& plan, const Op& op,
     case PlanEngine::kBlocked:
     case PlanEngine::kSpmd:
     case PlanEngine::kScan: {
-      const std::vector<Value>& init_ref = initial;
-      auto traces = execute_iteration_values<Op>(
-          plan, op, [&init_ref](std::size_t cell) { return init_ref[cell]; },
-          [&init_ref, &plan](std::size_t i) { return init_ref[plan.write_cell[i]]; },
-          exec);
-      // g is injective on these routes, so each written cell has one trace.
+      // g is injective on these routes, so iteration i's self operand is
+      // cell write_cell[i]'s initial value, and each written cell has one
+      // trace to take back.
+      std::vector<Value> traces;
+      traces.reserve(plan.iterations);
+      for (std::size_t i = 0; i < plan.iterations; ++i) {
+        const Value& self = initial[plan.write_cell[i]];
+        const std::uint32_t root = plan.root_cell[i];
+        traces.push_back(root != kNoIndex32 ? op.combine(initial[root], self) : self);
+      }
+      replay_traces(plan, op, traces, exec);
       std::vector<Value> result = std::move(initial);
       for (std::size_t i = 0; i < plan.iterations; ++i) {
         result[plan.write_cell[i]] = std::move(traces[i]);

@@ -26,7 +26,7 @@ namespace {
 /// Environment mask: IR_SIMD=scalar|off|0 pins the portable path (the
 /// dispatch-seam ctest and A/B benchmarking use this); IR_SIMD=avx2 merely
 /// *allows* AVX2 — it never overrides a missing CPU capability.
-bool env_masks_simd() {
+[[maybe_unused]] bool env_masks_simd() {  // unused when IR_SIMD=OFF
   const char* value = std::getenv("IR_SIMD");
   if (value == nullptr) return false;
   return std::strcmp(value, "scalar") == 0 || std::strcmp(value, "off") == 0 ||

@@ -8,8 +8,8 @@
 // compile() keys the cache by the system's serialized content plus the
 // structure-affecting options, so repeated traffic with the same loop shape
 // (the ROADMAP's production pattern) pays the analysis/pred-forest/schedule
-// cost exactly once.  solve() is the one-shot convenience wrapper the
-// deprecated free functions route through via shared_solver().
+// cost exactly once.  solve() is the one-shot convenience wrapper: compile
+// (cached) then execute.
 #pragma once
 
 #include <atomic>
@@ -141,9 +141,8 @@ class Solver {
       inflight_ IR_GUARDED_BY(inflight_mutex_);
 };
 
-/// Process-wide solver: the deprecated free-function shims and the Möbius
-/// route compile through this instance, so even legacy call sites reuse
-/// plans across repeated solves of the same system.
+/// Process-wide solver: the Möbius route (linear_ir.hpp) compiles through
+/// this instance, so repeated solves of one loop reuse its plan.
 [[nodiscard]] Solver& shared_solver();
 
 }  // namespace ir::core

@@ -4,14 +4,9 @@
 #include <future>
 #include <utility>
 
-// The harness exercises the deprecated one-shot shims ON PURPOSE: every
-// legacy entry point is a differential leg against the sequential oracle.
-#define IR_COMPAT_ALLOW_DEPRECATED
 #include "algebra/monoids.hpp"
-#include "core/compat.hpp"
 #include "core/general_ir.hpp"
 #include "core/ordinary_ir.hpp"
-#include "core/ordinary_ir_blocked.hpp"
 #include "core/plan.hpp"
 #include "core/plan_io.hpp"
 #include "core/serialize.hpp"
@@ -220,32 +215,19 @@ DifferentialReport run_differential(const GeneralIrSystem& sys,
   }
 
   // --- General route: every system qualifies. -----------------------------
-  check_leg(report, "gir-cap", oracle, [&] {
-    return core::general_ir_parallel(op, sys, init);
-  });
+  // Forced CAP plans over the GIR knobs: no pruning (the paper's plain
+  // algorithm), the reference-count DP, and merge-at-end coalescing.
+  auto gir_leg = [&](PlanOptions plan_options, const ExecOptions& exec = {}) {
+    plan_options.engine = EngineChoice::kGeneralCap;
+    return core::execute_plan(core::compile_plan(sys, plan_options), op, init, exec);
+  };
+  check_leg(report, "gir-cap", oracle, [&] { return gir_leg({.prune_dead = false}); });
   check_leg(report, "gir-dp", oracle, [&] {
-    core::GeneralIrOptions o;
-    o.reference_counts = true;
-    return core::general_ir_parallel(op, sys, init, o);
-  });
-  check_leg(report, "gir-cap-prune", oracle, [&] {
-    core::GeneralIrOptions o;
-    o.prune_dead = true;
-    return core::general_ir_parallel(op, sys, init, o);
+    return gir_leg({.prune_dead = false, .reference_counts = true});
   });
   if (sys.iterations() <= options.late_coalesce_max_iterations) {
     check_leg(report, "gir-cap-late-coalesce", oracle, [&] {
-      core::GeneralIrOptions o;
-      o.coalesce_each_round = false;
-      return core::general_ir_parallel(op, sys, init, o);
-    });
-  }
-  if (options.pool != nullptr) {
-    check_leg(report, "gir-cap-pooled", oracle, [&] {
-      core::GeneralIrOptions o;
-      o.pool = options.pool;
-      o.prune_dead = true;
-      return core::general_ir_parallel(op, sys, init, o);
+      return gir_leg({.prune_dead = false, .coalesce_each_round = false});
     });
   }
 
@@ -261,11 +243,12 @@ DifferentialReport run_differential(const GeneralIrSystem& sys,
       return core::execute_plan(core::compile_plan(sys, plan_options), op, init, exec);
     });
   }
-  check_leg(report, "plan-gir-forced", oracle, [&] {
-    PlanOptions plan_options;
-    plan_options.engine = EngineChoice::kGeneralCap;
-    return core::execute_plan(core::compile_plan(sys, plan_options), op, init);
-  });
+  check_leg(report, "plan-gir-forced", oracle, [&] { return gir_leg({}); });
+  if (options.pool != nullptr) {
+    check_leg(report, "plan-gir-pooled", oracle, [&] {
+      return gir_leg({.pool = options.pool}, {.pool = options.pool});
+    });
+  }
 
   // Export -> import -> execute across the general routes: the router's pick
   // and the forced GIR schedule (arbitrary-precision exponents included)
@@ -384,38 +367,9 @@ DifferentialReport run_differential(const GeneralIrSystem& sys,
     check_leg(report, "ord-sequential", oracle, [&] {
       return core::ordinary_ir_sequential(op, ord, init);
     });
-    check_leg(report, "ord-jumping", oracle, [&] {
-      return core::ordinary_ir_parallel(op, ord, init);
-    });
-    check_leg(report, "ord-jumping-legacy-hooks", oracle, [&] {
-      core::OrdinaryIrOptions o;
-      o.early_termination = false;  // the hook-engine path, not a plan
-      return core::ordinary_ir_parallel(op, ord, init, o);
-    });
-    if (options.pool != nullptr) {
-      check_leg(report, "ord-jumping-pooled-capped", oracle, [&] {
-        core::OrdinaryIrOptions o;
-        o.pool = options.pool;
-        o.processor_cap = 2;
-        return core::ordinary_ir_parallel(op, ord, init, o);
-      });
-    }
-    check_leg(report, "ord-blocked", oracle, [&] {
-      core::BlockedIrOptions o;
-      o.blocks = options.blocks;
-      return core::ordinary_ir_blocked(op, ord, init, o);
-    });
-    if (options.pool != nullptr) {
-      check_leg(report, "ord-blocked-pooled", oracle, [&] {
-        core::BlockedIrOptions o;
-        o.pool = options.pool;  // blocks = 0: one block per pool thread
-        return core::ordinary_ir_blocked(op, ord, init, o);
-      });
-    }
-    check_leg(report, "ord-spmd", oracle, [&] {
-      return core::ordinary_ir_spmd(op, ord, init, options.spmd_workers);
-    });
 
+    // The forced ordinary engines run without a pool here; the pooled legs
+    // below cover the fork/join paths.
     for (const auto& [engine, label] :
          {std::pair{EngineChoice::kJumping, "plan-jumping"},
           std::pair{EngineChoice::kBlocked, "plan-blocked"},
@@ -427,6 +381,20 @@ DifferentialReport run_differential(const GeneralIrSystem& sys,
         ExecOptions exec;
         exec.workers = options.spmd_workers;
         return core::execute_plan(core::compile_plan(ord, plan_options), op, init, exec);
+      });
+    }
+    if (options.pool != nullptr) {
+      check_leg(report, "plan-jumping-pooled-capped", oracle, [&] {
+        const ExecOptions exec{.pool = options.pool, .processor_cap = 2};
+        return core::execute_plan(
+            core::compile_plan(ord, {.engine = EngineChoice::kJumping}), op, init, exec);
+      });
+      check_leg(report, "plan-blocked-pooled", oracle, [&] {
+        // blocks = 0: one block per pool thread.
+        const PlanOptions plan_options{.engine = EngineChoice::kBlocked,
+                                       .pool = options.pool};
+        return core::execute_plan(core::compile_plan(ord, plan_options), op, init,
+                                  {.pool = options.pool});
       });
     }
 
@@ -498,17 +466,18 @@ DifferentialReport run_differential(const GeneralIrSystem& sys,
       const std::vector<std::string> cinit = deterministic_strings(sys.cells);
       auto coracle = core::ordinary_ir_sequential(cat, ord, cinit);
       if (options.corrupt_oracle && sys.iterations() > 0) coracle[sys.g[0]] += '!';
-      check_leg(report, "concat-jumping", coracle, [&] {
-        return core::ordinary_ir_parallel(cat, ord, cinit);
-      });
-      check_leg(report, "concat-blocked", coracle, [&] {
-        core::BlockedIrOptions o;
-        o.blocks = options.blocks;
-        return core::ordinary_ir_blocked(cat, ord, cinit, o);
-      });
-      check_leg(report, "concat-spmd", coracle, [&] {
-        return core::ordinary_ir_spmd(cat, ord, cinit, options.spmd_workers);
-      });
+      std::vector<std::pair<EngineChoice, const char*>> concat_engines = {
+          {EngineChoice::kJumping, "concat-jumping"},
+          {EngineChoice::kBlocked, "concat-blocked"},
+          {EngineChoice::kSpmd, "concat-spmd"}};
+      if (chain) concat_engines.emplace_back(EngineChoice::kScan, "concat-scan");
+      for (const auto& [engine, label] : concat_engines) {
+        check_leg(report, label, coracle, [&, engine = engine] {
+          const PlanOptions plan_options{.engine = engine, .blocks = options.blocks};
+          return core::execute_plan(core::compile_plan(ord, plan_options), cat, cinit,
+                                    {.workers = options.spmd_workers});
+        });
+      }
 
       // Wide executor with a non-commutative op: WideOps has no string
       // kernels, so this pins the generic per-lane fold path AND operand

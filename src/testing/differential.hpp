@@ -2,10 +2,10 @@
 //
 // The repository's ground truth is the sequential loop (general_ir_sequential
 // / ordinary_ir_sequential).  run_differential() evaluates a system through
-// every production route — the deprecated engine shims, forced-engine plans,
-// the kAuto router, execute_many batching, and the content-cached Solver
-// paths — and reports every route whose answer (or escape behaviour)
-// disagrees with the oracle.  Values are derived deterministically from the
+// every production route — forced-engine plans (pooled and not), the kAuto
+// router, execute_many batching, the wide executor, the binary plan format,
+// the content-cached Solver paths and the batch service — and reports every
+// route whose answer (or escape behaviour) disagrees with the oracle.  Values are derived deterministically from the
 // cell index, so a verdict is a pure function of the system: exactly what the
 // shrinker (shrink.hpp) needs for its failure predicate.
 //

@@ -172,7 +172,10 @@ void cost_jumping(const Plan& plan, const StepModel& model, CostReport& report) 
 
 void cost_blocked(const Plan& plan, const StepModel& model, CostReport& report) {
   const core::BlockedSchedule& bs = plan.blocked;
-  seed_phase(plan, model, report, 0);  // pure copy; root ⊙ happen in the sweep
+  // The model charges each root ⊙ to its block's sweep, where the schedule
+  // allows it; the scalar executor folds roots into its seed instead.  Work
+  // is the same either way.
+  seed_phase(plan, model, report, 0);
 
   // Phase 1: every block sweeps sequentially, blocks in lockstep — sub-step
   // t touches each block's element begin + t.  The longest per-block ⊙ chain

@@ -1,8 +1,3 @@
-// Exercises the deprecated one-shot shims (core/compat.hpp) on purpose;
-// the define keeps -Werror builds green without losing the diagnostic
-// elsewhere.
-#define IR_COMPAT_ALLOW_DEPRECATED
-#include "core/compat.hpp"
 #include "core/analyze.hpp"
 
 #include <gtest/gtest.h>
@@ -63,10 +58,9 @@ TEST(AnalyzeTest, PredictedRoundsMatchSolver) {
     const auto ord = testing::random_ordinary_system(500, 700, rng, 0.9);
     const auto report = analyze(ord);
     OrdinaryIrStats stats;
-    OrdinaryIrOptions options;
-    options.stats = &stats;
     std::vector<std::uint64_t> init(700, 1);
-    (void)ordinary_ir_parallel(algebra::AddMonoid<std::uint64_t>{}, ord, init, options);
+    (void)execute_plan(compile_plan(ord, {.engine = EngineChoice::kJumping}),
+                       algebra::AddMonoid<std::uint64_t>{}, init, {.ordinary_stats = &stats});
     EXPECT_EQ(stats.rounds, report.predicted_rounds) << trial;
   }
 }

@@ -24,21 +24,42 @@ using algebra::AddMonoid;
 using algebra::ConcatMonoid;
 using algebra::ModMulMonoid;
 
-/// execute_wide vs per-lane execute_plan on `lanes` distinct value-sets.
+/// Both stats sinks of one execute.
+struct ExecStats {
+  OrdinaryIrStats ordinary;
+  BlockedIrStats blocked;
+
+  ExecOptions sinks() { return {.ordinary_stats = &ordinary, .blocked_stats = &blocked}; }
+};
+
+/// execute_wide vs per-lane execute_plan on `lanes` distinct value-sets: the
+/// values must match bit for bit, and both variants must fill the same stats.
 template <typename Op>
 void expect_wide_matches_scalar(const Op& op, const Plan& plan,
                                 const std::vector<std::vector<typename Op::Value>>& rows) {
+  ExecStats wide_stats;
+  ExecStats scalar_stats;
   auto batch = BatchView<typename Op::Value>::from_rows(rows, plan.cells);
-  const auto wide = execute_wide(plan, op, std::move(batch));
+  const auto wide = execute_wide(plan, op, std::move(batch), wide_stats.sinks());
   ASSERT_EQ(wide.lanes(), rows.size());
   for (std::size_t lane = 0; lane < rows.size(); ++lane) {
-    const auto scalar = execute_plan(plan, op, rows[lane]);
+    const auto scalar = execute_plan(plan, op, rows[lane], scalar_stats.sinks());
     for (std::size_t cell = 0; cell < plan.cells; ++cell) {
       ASSERT_EQ(wide.at(cell, lane), scalar[cell])
           << "cell " << cell << " lane " << lane << " engine "
           << to_string(plan.engine);
     }
   }
+  const std::string engine = to_string(plan.engine);
+  EXPECT_EQ(wide_stats.ordinary.rounds, scalar_stats.ordinary.rounds) << engine;
+  EXPECT_EQ(wide_stats.ordinary.op_applications, scalar_stats.ordinary.op_applications)
+      << engine;
+  EXPECT_EQ(wide_stats.ordinary.peak_active, scalar_stats.ordinary.peak_active) << engine;
+  EXPECT_EQ(wide_stats.blocked.blocks, scalar_stats.blocked.blocks) << engine;
+  EXPECT_EQ(wide_stats.blocked.partials, scalar_stats.blocked.partials) << engine;
+  EXPECT_EQ(wide_stats.blocked.resolve_rounds, scalar_stats.blocked.resolve_rounds) << engine;
+  EXPECT_EQ(wide_stats.blocked.op_applications, scalar_stats.blocked.op_applications)
+      << engine;
 }
 
 std::vector<std::vector<std::uint64_t>> numeric_rows(std::size_t cells,
@@ -62,7 +83,23 @@ TEST(ExecuteWideTest, OrdinaryEnginesMatchPerLaneExecution) {
        {EngineChoice::kJumping, EngineChoice::kBlocked, EngineChoice::kSpmd}) {
     PlanOptions options;
     options.engine = engine;
-    expect_wide_matches_scalar(add, compile_plan(ord, options), rows);
+    options.blocks = 3;
+    const Plan plan = compile_plan(ord, options);
+    expect_wide_matches_scalar(add, plan, rows);
+
+    // The figures themselves: one ⊙ per root seed plus the replayed ones,
+    // for SPMD exactly as for jumping.
+    ExecStats stats;
+    (void)execute_plan(plan, add, rows[0], stats.sinks());
+    if (plan.engine == PlanEngine::kBlocked) {
+      EXPECT_EQ(stats.blocked.blocks, 3u);
+      EXPECT_EQ(stats.blocked.op_applications,
+                plan.blocked.phase1_ops + plan.blocked.partials());
+      EXPECT_EQ(stats.ordinary.op_applications, stats.blocked.op_applications);
+    } else {
+      EXPECT_EQ(stats.ordinary.rounds, plan.jump.rounds());
+      EXPECT_EQ(stats.ordinary.op_applications, plan.jump.seed_ops + plan.jump.moves());
+    }
   }
 }
 

@@ -1,8 +1,5 @@
-// Exercises the deprecated one-shot shims (core/compat.hpp) on purpose;
-// the define keeps -Werror builds green without losing the diagnostic
-// elsewhere.
-#define IR_COMPAT_ALLOW_DEPRECATED
-#include "core/compat.hpp"
+// The general route: forced kGeneralCap plans (dependence graph + CAP +
+// powered evaluation) against the sequential loop.
 #include "core/general_ir.hpp"
 
 #include <gtest/gtest.h>
@@ -17,6 +14,18 @@ using algebra::ModAddMonoid;
 using algebra::ModMulMonoid;
 using support::BigUint;
 using testing::random_general_system;
+
+/// One solve through a freshly compiled CAP plan.  Pruning is off by default
+/// here: the paper's plain algorithm over every equation.
+template <typename Op>
+std::vector<typename Op::Value> gir(const Op& op, const GeneralIrSystem& sys,
+                                    std::vector<typename Op::Value> init,
+                                    PlanOptions options = {.prune_dead = false},
+                                    parallel::ThreadPool* pool = nullptr) {
+  options.engine = EngineChoice::kGeneralCap;
+  options.pool = pool;
+  return execute_plan(compile_plan(sys, options), op, std::move(init), {.pool = pool});
+}
 
 /// The paper's GIR motivator: A[i] := A[i-1] * A[i-2] for i = 2..n-1.
 GeneralIrSystem fibonacci_system(std::size_t n) {
@@ -98,7 +107,7 @@ TEST(GeneralIrTest, FibonacciProductExactModP) {
   init[0] = 12345;
   init[1] = 67890;
   const auto expect = general_ir_sequential(op, sys, init);
-  const auto actual = general_ir_parallel(op, sys, init);
+  const auto actual = gir(op, sys, init);
   EXPECT_EQ(actual, expect);
 }
 
@@ -110,7 +119,7 @@ TEST(GeneralIrTest, NonDistinctGHandled) {
   // A[1]: 2 -> 5 -> 8 -> 11.
   const auto expect = general_ir_sequential(op, sys, {3, 2, 0});
   EXPECT_EQ(expect[1], 11u);
-  EXPECT_EQ(general_ir_parallel(op, sys, {3, 2, 0}), expect);
+  EXPECT_EQ(gir(op, sys, {3, 2, 0}), expect);
 }
 
 TEST(GeneralIrTest, OrdinarySystemsSolveViaGir) {
@@ -120,7 +129,7 @@ TEST(GeneralIrTest, OrdinarySystemsSolveViaGir) {
   ModMulMonoid op(999999937ull);
   std::vector<std::uint64_t> init(150);
   for (auto& v : init) v = 1 + rng.below(999999936ull);
-  EXPECT_EQ(general_ir_parallel(op, sys, init), general_ir_sequential(op, sys, init));
+  EXPECT_EQ(gir(op, sys, init), general_ir_sequential(op, sys, init));
 }
 
 TEST(GeneralIrTest, MinMonoidIdempotent) {
@@ -129,7 +138,7 @@ TEST(GeneralIrTest, MinMonoidIdempotent) {
   algebra::MinMonoid<std::uint64_t> op;
   std::vector<std::uint64_t> init(100);
   for (auto& v : init) v = rng.below(100000);
-  EXPECT_EQ(general_ir_parallel(op, sys, init), general_ir_sequential(op, sys, init));
+  EXPECT_EQ(gir(op, sys, init), general_ir_sequential(op, sys, init));
 }
 
 TEST(GeneralIrTest, ReferenceCountsAblationMatches) {
@@ -138,23 +147,20 @@ TEST(GeneralIrTest, ReferenceCountsAblationMatches) {
   ModAddMonoid op(1'000'000'007ull);
   std::vector<std::uint64_t> init(80);
   for (auto& v : init) v = rng.below(1000);
-  GeneralIrOptions dp;
-  dp.reference_counts = true;
-  EXPECT_EQ(general_ir_parallel(op, sys, init, dp),
-            general_ir_parallel(op, sys, init, {}));
+  EXPECT_EQ(gir(op, sys, init, {.prune_dead = false, .reference_counts = true}),
+            gir(op, sys, init));
 }
 
 TEST(GeneralIrTest, CapStatsExported) {
   const auto sys = fibonacci_system(64);
-  graph::CapResult cap;
-  GeneralIrOptions options;
-  options.cap_out = &cap;
+  const Plan plan =
+      compile_plan(sys, {.engine = EngineChoice::kGeneralCap, .prune_dead = false});
   ModMulMonoid op(97);
   std::vector<std::uint64_t> init(64, 2);
-  general_ir_parallel(op, sys, init, options);
-  EXPECT_GT(cap.rounds, 0u);
-  EXPECT_LE(cap.rounds, 8u);  // log2(longest path ~62) + slack
-  EXPECT_GT(cap.peak_edges, 0u);
+  EXPECT_EQ(execute_plan(plan, op, init), general_ir_sequential(op, sys, init));
+  EXPECT_GT(plan.gir.cap_rounds, 0u);
+  EXPECT_LE(plan.gir.cap_rounds, 8u);  // log2(longest path ~62) + slack
+  EXPECT_GT(plan.gir.cap_peak_edges, 0u);
 }
 
 TEST(GeneralIrTest, PoolMatchesSequentialExecution) {
@@ -164,9 +170,7 @@ TEST(GeneralIrTest, PoolMatchesSequentialExecution) {
   ModAddMonoid op(1'000'000'007ull);
   std::vector<std::uint64_t> init(250);
   for (auto& v : init) v = rng.below(1000000);
-  GeneralIrOptions options;
-  options.pool = &pool;
-  EXPECT_EQ(general_ir_parallel(op, sys, init, options),
+  EXPECT_EQ(gir(op, sys, init, {.prune_dead = false}, &pool),
             general_ir_sequential(op, sys, init));
 }
 
@@ -176,7 +180,7 @@ TEST(GeneralIrTest, ExactFibonacciViaBigUintAddition) {
   const std::size_t n = 200;
   const auto sys = fibonacci_system(n);
   std::vector<support::BigUint> init(n, support::BigUint{1});
-  const auto parallel = general_ir_parallel(algebra::BigAddMonoid{}, sys, init);
+  const auto parallel = gir(algebra::BigAddMonoid{}, sys, init);
   const auto sequential = general_ir_sequential(algebra::BigAddMonoid{}, sys, init);
   EXPECT_EQ(parallel, sequential);
   support::BigUint a{1}, b{1};
@@ -205,18 +209,15 @@ TEST(GeneralIrTest, DeadEquationPruning) {
 
   const auto expect = general_ir_sequential(op, sys, init);
 
-  std::size_t live = 0;
-  GeneralIrOptions pruned;
-  pruned.prune_dead = true;
-  pruned.live_equations = &live;
-  EXPECT_EQ(general_ir_parallel(op, sys, init, pruned), expect);
-  EXPECT_EQ(live, 1u);  // only the final writer survives
+  const Plan pruned =
+      compile_plan(sys, {.engine = EngineChoice::kGeneralCap, .prune_dead = true});
+  EXPECT_EQ(execute_plan(pruned, op, init), expect);
+  EXPECT_EQ(pruned.gir.live_equations, 1u);  // only the final writer survives
 
-  std::size_t all = 0;
-  GeneralIrOptions unpruned;
-  unpruned.live_equations = &all;
-  EXPECT_EQ(general_ir_parallel(op, sys, init, unpruned), expect);
-  EXPECT_EQ(all, 100u);
+  const Plan unpruned =
+      compile_plan(sys, {.engine = EngineChoice::kGeneralCap, .prune_dead = false});
+  EXPECT_EQ(execute_plan(unpruned, op, init), expect);
+  EXPECT_EQ(unpruned.gir.live_equations, 100u);
 }
 
 TEST(GeneralIrTest, PruningMatchesOnRandomSystems) {
@@ -226,21 +227,18 @@ TEST(GeneralIrTest, PruningMatchesOnRandomSystems) {
     ModMulMonoid op(1'000'000'007ull);
     std::vector<std::uint64_t> init(60);
     for (auto& v : init) v = 1 + rng.below(1'000'000'006ull);
-    std::size_t live = 0;
-    GeneralIrOptions pruned;
-    pruned.prune_dead = true;
-    pruned.live_equations = &live;
-    EXPECT_EQ(general_ir_parallel(op, sys, init, pruned),
-              general_ir_sequential(op, sys, init))
+    const Plan pruned =
+        compile_plan(sys, {.engine = EngineChoice::kGeneralCap, .prune_dead = true});
+    EXPECT_EQ(execute_plan(pruned, op, init), general_ir_sequential(op, sys, init))
         << trial;
-    EXPECT_LE(live, sys.iterations());
+    EXPECT_LE(pruned.gir.live_equations, sys.iterations());
   }
 }
 
 TEST(GeneralIrTest, EmptyAndUntouched) {
   GeneralIrSystem sys{3, {}, {}, {}};
   ModAddMonoid op(97);
-  EXPECT_EQ(general_ir_parallel(op, sys, {1, 2, 3}), (std::vector<std::uint64_t>{1, 2, 3}));
+  EXPECT_EQ(gir(op, sys, {1, 2, 3}), (std::vector<std::uint64_t>{1, 2, 3}));
 }
 
 // Property sweep over sizes/aliasing/seeds with an exact monoid.
@@ -260,7 +258,7 @@ TEST_P(GeneralIrSweepTest, ParallelEqualsSequentialModMul) {
   ModMulMonoid op(1'000'000'007ull);
   std::vector<std::uint64_t> init(p.cells);
   for (auto& v : init) v = 1 + rng.below(1'000'000'006ull);
-  EXPECT_EQ(general_ir_parallel(op, sys, init), general_ir_sequential(op, sys, init));
+  EXPECT_EQ(gir(op, sys, init), general_ir_sequential(op, sys, init));
 }
 
 TEST_P(GeneralIrSweepTest, ParallelEqualsSequentialModAdd) {
@@ -270,7 +268,7 @@ TEST_P(GeneralIrSweepTest, ParallelEqualsSequentialModAdd) {
   ModAddMonoid op(999999937ull);
   std::vector<std::uint64_t> init(p.cells);
   for (auto& v : init) v = rng.below(999999937ull);
-  EXPECT_EQ(general_ir_parallel(op, sys, init), general_ir_sequential(op, sys, init));
+  EXPECT_EQ(gir(op, sys, init), general_ir_sequential(op, sys, init));
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,14 +1,10 @@
-// Exercises the deprecated one-shot shims (core/compat.hpp) on purpose;
-// the define keeps -Werror builds green without losing the diagnostic
-// elsewhere.
-#define IR_COMPAT_ALLOW_DEPRECATED
-#include "core/compat.hpp"
 #include "core/inspector.hpp"
 
 #include <gtest/gtest.h>
 
 #include "algebra/monoids.hpp"
 #include "core/general_ir.hpp"
+#include "core/plan.hpp"
 
 namespace ir::core {
 namespace {
@@ -52,7 +48,9 @@ TEST(SystemRecorderTest, InspectorExecutorHistogram) {
     recorder.record_self(bins + k, keys[k]);
   }
   const auto sys = std::move(recorder).finish();
-  const auto out = general_ir_parallel(algebra::AddMonoid<double>{}, sys, init);
+  const Plan plan =
+      compile_plan(sys, {.engine = EngineChoice::kGeneralCap, .prune_dead = false});
+  const auto out = execute_plan(plan, algebra::AddMonoid<double>{}, init);
   for (std::size_t b = 0; b < bins; ++b) EXPECT_DOUBLE_EQ(out[b], expect[b]) << b;
 }
 

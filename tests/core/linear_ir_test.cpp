@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "algebra/monoids.hpp"
 #include "testing/random_systems.hpp"
 
 namespace ir::core {
@@ -36,6 +37,26 @@ void expect_near(const std::vector<double>& a, const std::vector<double>& b,
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_NEAR(a[i], b[i], tol) << "cell " << i;
 }
+
+/// Well-conditioned fractional maps: dominant diagonal, positive det.
+std::vector<MoebiusMap> random_maps(std::size_t n, support::SplitMix64& rng) {
+  std::vector<MoebiusMap> maps(n);
+  for (auto& m : maps) {
+    m = MoebiusMap{rng.uniform(0.8, 1.2), rng.uniform(-0.2, 0.2), rng.uniform(0.0, 0.1),
+                   rng.uniform(0.9, 1.1)};
+  }
+  return maps;
+}
+
+std::vector<double> positive_values(std::size_t cells, support::SplitMix64& rng) {
+  std::vector<double> v(cells);
+  for (auto& e : v) e = rng.uniform(0.5, 1.5);
+  return v;
+}
+
+/// Every plan an ordinary system can be forced to; kScan only fits chains.
+constexpr EngineChoice kOrdinaryEngines[] = {EngineChoice::kJumping, EngineChoice::kBlocked,
+                                             EngineChoice::kSpmd};
 
 TEST(LinearIrTest, SequentialKnownValues) {
   // X[1] = 2 X[0] + 1; X[2] = 2 X[1] + 1 with X = {1, 0, 0}.
@@ -70,7 +91,7 @@ TEST(LinearIrTest, ZeroMultiplierResetsChains) {
 
 TEST(LinearIrTest, ChainReadsUpstreamWrittenCellAsInitialWhenUnwritten) {
   // f hits a cell that IS in g's image but is written only LATER: the value
-  // read must be the initial one (the root_value hook, not the coefficient).
+  // read must be the initial one (the chain root's seed, not the coefficient).
   LinearIrLoop loop;
   loop.system = OrdinaryIrSystem{3, {2, 0}, {1, 2}};  // i0 reads cell 2, i1 writes it
   loop.mul = {3.0, 5.0};
@@ -139,6 +160,113 @@ TEST(MoebiusIrTest, FractionalLoopMatches) {
       EXPECT_NEAR(actual[i], expect[i], 1e-6) << "cell " << i;
     }
   }
+}
+
+TEST(MoebiusIrTest, EveryOrdinaryPlanMatchesSequential) {
+  support::SplitMix64 rng(36);
+  MoebiusIrLoop loop;
+  loop.system = testing::random_ordinary_system(300, 400, rng, 0.8);
+  loop.maps = random_maps(300, rng);
+  const auto init = positive_values(400, rng);
+  const auto expect = moebius_ir_sequential(loop, init);
+  parallel::ThreadPool pool(3);
+  for (const EngineChoice engine : kOrdinaryEngines) {
+    const Plan plan = compile_plan(loop.system, {.engine = engine, .pool = &pool});
+    expect_near(moebius_ir_run(plan, loop.maps, init), expect, 1e-6);
+    expect_near(moebius_ir_run(plan, loop.maps, init, {.pool = &pool, .workers = 3}), expect,
+                1e-6);
+  }
+  // kAuto through the shared solver, with and without the pool as its hint.
+  expect_near(moebius_ir_parallel(loop, init), expect, 1e-6);
+  OrdinaryIrStats stats;
+  expect_near(moebius_ir_parallel(loop, init, {.pool = &pool, .stats = &stats}), expect,
+              1e-6);
+  EXPECT_GT(stats.op_applications, 0u);
+}
+
+TEST(MoebiusIrTest, ChainsTakeTheScanFold) {
+  // Livermore-23 shape: five column chains of f(i) = i-1 reads.  kAuto must
+  // pick the O(n) scan, one pass of n ⊙s, instead of log-depth jumping.
+  support::SplitMix64 rng(37);
+  const std::size_t rows = 200;
+  const std::size_t columns = 5;
+  MoebiusIrLoop loop;
+  loop.system.cells = rows * columns;
+  for (std::size_t j = 0; j < columns; ++j) {
+    for (std::size_t k = 1; k < rows; ++k) {
+      loop.system.f.push_back(j * rows + k - 1);
+      loop.system.g.push_back(j * rows + k);
+    }
+  }
+  const std::size_t n = loop.system.iterations();
+  loop.maps = random_maps(n, rng);
+  const auto init = positive_values(loop.system.cells, rng);
+  const auto expect = moebius_ir_sequential(loop, init);
+
+  parallel::ThreadPool pool(3);
+  EXPECT_EQ(compile_plan(loop.system, {.pool = &pool}).engine, PlanEngine::kScan);
+  OrdinaryIrStats stats;
+  expect_near(moebius_ir_parallel(loop, init, {.pool = &pool, .stats = &stats}), expect,
+              1e-9);
+  EXPECT_EQ(stats.rounds, 1u);
+  EXPECT_EQ(stats.op_applications, n);
+
+  const Plan scan = compile_plan(loop.system, {.engine = EngineChoice::kScan});
+  expect_near(moebius_ir_run(scan, loop.maps, init), expect, 1e-9);
+  for (const EngineChoice engine : kOrdinaryEngines) {
+    const Plan plan = compile_plan(loop.system, {.engine = engine, .blocks = 3});
+    expect_near(moebius_ir_run(plan, loop.maps, init, {.workers = 2}), expect, 1e-9);
+  }
+}
+
+TEST(MoebiusIrTest, RecurrenceFreeLoopSolves) {
+  // No iteration reads a cell an earlier one wrote (i0 reads cell 2, which
+  // i2 writes only later), so kAuto resolves to elementwise: each map
+  // applies once to an initial value, exactly as the loop does.
+  MoebiusIrLoop loop;
+  loop.system = OrdinaryIrSystem{6, {2, 4, 5}, {0, 1, 2}};
+  loop.maps = {MoebiusMap::affine(2.0, 1.0), MoebiusMap{1.0, 1.0, 1.0, 2.0},
+               MoebiusMap::affine(-1.0, 0.5)};
+  const std::vector<double> init{1.0, 2.0, 3.0, 4.0, 5.0, 6.0};
+  const auto expect = moebius_ir_sequential(loop, init);
+  EXPECT_EQ(compile_plan(loop.system).engine, PlanEngine::kElementwise);
+  OrdinaryIrStats stats;
+  EXPECT_EQ(moebius_ir_parallel(loop, init, {.stats = &stats}), expect);
+  EXPECT_EQ(stats.rounds, 0u);
+  EXPECT_EQ(stats.op_applications, 3u);
+  EXPECT_THROW((void)moebius_ir_run(compile_plan(loop.system), loop.maps, init),
+               support::ContractViolation);
+
+  // Forced ordinary plans run it as a schedule of root seeds alone.
+  for (const EngineChoice engine : {EngineChoice::kJumping, EngineChoice::kBlocked,
+                                    EngineChoice::kSpmd, EngineChoice::kScan}) {
+    const Plan plan = compile_plan(loop.system, {.engine = engine});
+    expect_near(moebius_ir_run(plan, loop.maps, init), expect, 1e-12);
+  }
+}
+
+TEST(MoebiusIrTest, PerIterationOperandsAreHonoured) {
+  // The coefficient maps are the operand table standing in for A[g(i)]: a
+  // chain root folds the constant map of the cell it reads, and every other
+  // operand is the iteration's own map, never the written cell's value.
+  // X[1] = X[0] + 1000 = 1100; X[2] = X[1] + 1001 = 2101 (exact in doubles).
+  const MoebiusIrLoop loop{{4, {0, 1}, {1, 2}},
+                           {MoebiusMap::affine(1.0, 1000.0), MoebiusMap::affine(1.0, 1001.0)}};
+  const std::vector<double> init{100.0, 101.0, 102.0, 103.0};
+  const std::vector<double> expect{100.0, 1100.0, 2101.0, 103.0};
+  EXPECT_EQ(moebius_ir_sequential(loop, init), expect);
+  for (const EngineChoice engine : {EngineChoice::kJumping, EngineChoice::kBlocked,
+                                    EngineChoice::kSpmd, EngineChoice::kScan}) {
+    const Plan plan = compile_plan(loop.system, {.engine = engine});
+    EXPECT_EQ(moebius_ir_run(plan, loop.maps, init), expect) << to_string(plan.engine);
+  }
+
+  // The same seeding contract on replay_traces itself: the root reads
+  // 100 + cell, the self operands are 1000 + i.
+  const Plan plan = compile_plan(loop.system, {.engine = EngineChoice::kJumping});
+  std::vector<std::uint64_t> traces{(100 + 0) + (1000 + 0), 1000 + 1};
+  replay_traces(plan, algebra::AddMonoid<std::uint64_t>{}, traces);
+  EXPECT_EQ(traces, (std::vector<std::uint64_t>{1100, 2101}));
 }
 
 TEST(LinearIrTest, ThreadPoolMatches) {

@@ -1,13 +1,16 @@
-// Exercises the deprecated one-shot shims (core/compat.hpp) on purpose;
-// the define keeps -Werror builds green without losing the diagnostic
-// elsewhere.
-#define IR_COMPAT_ALLOW_DEPRECATED
-#include "core/compat.hpp"
-#include "core/ordinary_ir_blocked.hpp"
-
+// The work-efficient blocked route: a forced kBlocked plan, compiled and
+// replayed once per call, against the sequential loop.
+//
+//   Phase 1 (parallel over P contiguous iteration blocks): sweep each block
+//     sequentially; an equation whose predecessor lies in an earlier block
+//     becomes PARTIAL.
+//   Phase 2: resolve the partials block by block, ascending — one ⊙ each,
+//     since every earlier block is already complete.
+// O(n) work against pointer jumping's Θ(n log n), at P-deep phase 2.
 #include <gtest/gtest.h>
 
 #include "algebra/monoids.hpp"
+#include "core/ordinary_ir.hpp"
 #include "testing/random_systems.hpp"
 
 namespace ir::core {
@@ -17,6 +20,19 @@ using algebra::AddMonoid;
 using algebra::ConcatMonoid;
 using testing::random_initial_u64;
 using testing::random_ordinary_system;
+
+/// One solve through a freshly compiled blocked plan (blocks = 0: one block
+/// per pool thread, or 1 without a pool).
+template <typename Op>
+std::vector<typename Op::Value> blocked(const Op& op, const OrdinaryIrSystem& sys,
+                                        std::vector<typename Op::Value> init,
+                                        std::size_t blocks = 0,
+                                        parallel::ThreadPool* pool = nullptr,
+                                        BlockedIrStats* stats = nullptr) {
+  const Plan plan =
+      compile_plan(sys, {.engine = EngineChoice::kBlocked, .pool = pool, .blocks = blocks});
+  return execute_plan(plan, op, std::move(init), {.pool = pool, .blocked_stats = stats});
+}
 
 /// Kernel-5-style local chain: f(i) = i-1, g(i) = i.
 OrdinaryIrSystem local_chain(std::size_t n) {
@@ -31,10 +47,10 @@ OrdinaryIrSystem local_chain(std::size_t n) {
 
 TEST(BlockedIrTest, EmptyAndSingle) {
   OrdinaryIrSystem empty{3, {}, {}};
-  EXPECT_EQ(ordinary_ir_blocked(AddMonoid<std::uint64_t>{}, empty, {1, 2, 3}),
+  EXPECT_EQ(blocked(AddMonoid<std::uint64_t>{}, empty, {1, 2, 3}),
             (std::vector<std::uint64_t>{1, 2, 3}));
   OrdinaryIrSystem one{3, {0}, {1}};
-  EXPECT_EQ(ordinary_ir_blocked(AddMonoid<std::uint64_t>{}, one, {1, 2, 3}),
+  EXPECT_EQ(blocked(AddMonoid<std::uint64_t>{}, one, {1, 2, 3}),
             (std::vector<std::uint64_t>{1, 3, 3}));
 }
 
@@ -46,10 +62,7 @@ TEST(BlockedIrTest, LocalChainIsWorkEfficient) {
   const auto expect = ordinary_ir_sequential(op, sys, init);
 
   BlockedIrStats stats;
-  BlockedIrOptions options;
-  options.blocks = 8;
-  options.stats = &stats;
-  EXPECT_EQ(ordinary_ir_blocked(op, sys, init, options), expect);
+  EXPECT_EQ(blocked(op, sys, init, 8, nullptr, &stats), expect);
   EXPECT_EQ(stats.blocks, 8u);
   // Blocks 1..7 are entirely downstream of the cross-block head, so every
   // equation there is partial: 7/8 of n.
@@ -66,10 +79,7 @@ TEST(BlockedIrTest, ScatteredSystemDegradesGracefully) {
   const auto init = random_initial_u64(3000, rng);
   const auto op = AddMonoid<std::uint64_t>{};
   BlockedIrStats stats;
-  BlockedIrOptions options;
-  options.blocks = 16;
-  options.stats = &stats;
-  EXPECT_EQ(ordinary_ir_blocked(op, sys, init, options),
+  EXPECT_EQ(blocked(op, sys, init, 16, nullptr, &stats),
             ordinary_ir_sequential(op, sys, init));
   EXPECT_GT(stats.partials, 100u);  // scattered preds cross blocks often
 }
@@ -80,9 +90,7 @@ TEST(BlockedIrTest, NonCommutativeOrderPreserved) {
     const auto sys = random_ordinary_system(120, 200, rng, 0.8);
     std::vector<std::string> init(200);
     for (std::size_t c = 0; c < 200; ++c) init[c] = std::string(1, char('a' + c % 26));
-    BlockedIrOptions options;
-    options.blocks = 1 + static_cast<std::size_t>(trial);
-    EXPECT_EQ(ordinary_ir_blocked(ConcatMonoid{}, sys, init, options),
+    EXPECT_EQ(blocked(ConcatMonoid{}, sys, init, 1 + static_cast<std::size_t>(trial)),
               ordinary_ir_sequential(ConcatMonoid{}, sys, init))
         << "trial " << trial;
   }
@@ -94,9 +102,7 @@ TEST(BlockedIrTest, PooledMatches) {
   const auto init = random_initial_u64(4000, rng);
   const auto op = AddMonoid<std::uint64_t>{};
   parallel::ThreadPool pool(4);
-  BlockedIrOptions options;
-  options.pool = &pool;
-  EXPECT_EQ(ordinary_ir_blocked(op, sys, init, options),
+  EXPECT_EQ(blocked(op, sys, init, 0, &pool),
             ordinary_ir_sequential(op, sys, init));
 }
 
@@ -105,11 +111,8 @@ TEST(BlockedIrTest, SingleBlockEqualsSequentialWork) {
   const auto sys = local_chain(n);
   std::vector<std::uint64_t> init(n + 1, 2);
   BlockedIrStats stats;
-  BlockedIrOptions options;
-  options.blocks = 1;
-  options.stats = &stats;
   const auto op = AddMonoid<std::uint64_t>{};
-  EXPECT_EQ(ordinary_ir_blocked(op, sys, init, options),
+  EXPECT_EQ(blocked(op, sys, init, 1, nullptr, &stats),
             ordinary_ir_sequential(op, sys, init));
   EXPECT_EQ(stats.partials, 0u);
   EXPECT_EQ(stats.op_applications, n);  // exactly one ⊙ per equation
@@ -133,9 +136,7 @@ TEST_P(BlockedIrSweepTest, MatchesSequential) {
   const auto sys = random_ordinary_system(p.iterations, p.cells, rng, p.rewire);
   const auto init = random_initial_u64(p.cells, rng);
   const auto op = AddMonoid<std::uint64_t>{};
-  BlockedIrOptions options;
-  options.blocks = p.blocks;
-  EXPECT_EQ(ordinary_ir_blocked(op, sys, init, options),
+  EXPECT_EQ(blocked(op, sys, init, p.blocks),
             ordinary_ir_sequential(op, sys, init));
 }
 

@@ -1,15 +1,11 @@
-// Exercises the deprecated one-shot shims (core/compat.hpp) on purpose;
-// the define keeps -Werror builds green without losing the diagnostic
-// elsewhere.
-#define IR_COMPAT_ALLOW_DEPRECATED
-#include "core/compat.hpp"
-
+// The SPMD route: a forced kSpmd plan replayed by a team of persistent
+// workers, compiled and executed once per call, against the sequential loop.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <type_traits>
 
 #include "algebra/monoids.hpp"
+#include "core/ordinary_ir.hpp"
 #include "testing/random_systems.hpp"
 
 namespace ir::core {
@@ -20,12 +16,21 @@ using algebra::ConcatMonoid;
 using testing::random_initial_u64;
 using testing::random_ordinary_system;
 
+/// One solve through a freshly compiled SPMD plan on `workers` workers.
+template <typename Op>
+std::vector<typename Op::Value> spmd(const Op& op, const OrdinaryIrSystem& sys,
+                                     std::vector<typename Op::Value> init,
+                                     std::size_t workers, OrdinaryIrStats* stats = nullptr) {
+  const Plan plan = compile_plan(sys, {.engine = EngineChoice::kSpmd});
+  return execute_plan(plan, op, std::move(init), {.workers = workers, .ordinary_stats = stats});
+}
+
 TEST(SpmdIrTest, MatchesSequentialSingleWorker) {
   support::SplitMix64 rng(101);
   const auto sys = random_ordinary_system(300, 400, rng, 0.8);
   const auto init = random_initial_u64(400, rng);
   const auto op = AddMonoid<std::uint64_t>{};
-  EXPECT_EQ(ordinary_ir_spmd(op, sys, init, 1), ordinary_ir_sequential(op, sys, init));
+  EXPECT_EQ(spmd(op, sys, init, 1), ordinary_ir_sequential(op, sys, init));
 }
 
 TEST(SpmdIrTest, MatchesSequentialAcrossWorkerCounts) {
@@ -35,7 +40,7 @@ TEST(SpmdIrTest, MatchesSequentialAcrossWorkerCounts) {
   const auto op = AddMonoid<std::uint64_t>{};
   const auto expect = ordinary_ir_sequential(op, sys, init);
   for (std::size_t workers : {2u, 3u, 4u, 7u}) {
-    EXPECT_EQ(ordinary_ir_spmd(op, sys, init, workers), expect) << workers;
+    EXPECT_EQ(spmd(op, sys, init, workers), expect) << workers;
   }
 }
 
@@ -44,7 +49,7 @@ TEST(SpmdIrTest, NonCommutativeOrderPreserved) {
   const auto sys = random_ordinary_system(200, 300, rng, 0.8);
   std::vector<std::string> init(300);
   for (std::size_t c = 0; c < 300; ++c) init[c] = std::string(1, char('a' + c % 26));
-  EXPECT_EQ(ordinary_ir_spmd(ConcatMonoid{}, sys, init, 4),
+  EXPECT_EQ(spmd(ConcatMonoid{}, sys, init, 4),
             ordinary_ir_sequential(ConcatMonoid{}, sys, init));
 }
 
@@ -55,25 +60,25 @@ TEST(SpmdIrTest, RoundsMatchOneLevelEngine) {
   const auto op = AddMonoid<std::uint64_t>{};
 
   OrdinaryIrStats one_level;
-  OrdinaryIrOptions options;
-  options.stats = &one_level;
-  (void)ordinary_ir_parallel(op, sys, init, options);
+  (void)execute_plan(compile_plan(sys, {.engine = EngineChoice::kJumping}), op, init,
+                     {.ordinary_stats = &one_level});
 
-  OrdinaryIrStats spmd;
-  (void)ordinary_ir_spmd(op, sys, init, 3, &spmd);
-  EXPECT_EQ(spmd.rounds, one_level.rounds);
+  OrdinaryIrStats team;
+  (void)spmd(op, sys, init, 3, &team);
+  EXPECT_EQ(team.rounds, one_level.rounds);
+  EXPECT_EQ(team.op_applications, one_level.op_applications);
 }
 
 TEST(SpmdIrTest, EmptySystem) {
   OrdinaryIrSystem sys{4, {}, {}};
-  EXPECT_EQ(ordinary_ir_spmd(AddMonoid<std::uint64_t>{}, sys, {9, 8, 7, 6}, 4),
+  EXPECT_EQ(spmd(AddMonoid<std::uint64_t>{}, sys, {9, 8, 7, 6}, 4),
             (std::vector<std::uint64_t>{9, 8, 7, 6}));
 }
 
 TEST(SpmdIrTest, MoreWorkersThanEquations) {
   OrdinaryIrSystem sys{4, {0, 1}, {1, 2}};
   const std::vector<std::uint64_t> init{1, 10, 100, 1000};
-  EXPECT_EQ(ordinary_ir_spmd(AddMonoid<std::uint64_t>{}, sys, init, 16),
+  EXPECT_EQ(spmd(AddMonoid<std::uint64_t>{}, sys, init, 16),
             ordinary_ir_sequential(AddMonoid<std::uint64_t>{}, sys, init));
 }
 
@@ -111,53 +116,10 @@ TEST(SpmdRegionTest, RejectsZeroWorkers) {
                support::ContractViolation);
 }
 
-TEST(SpmdIrTest, HooksCalledExactlyOncePerIteration) {
-  // Buffer construction used to fill val/new_val with self_value(0) copies:
-  // n + peak_active spurious hook calls.  The hooks may be stateful (the
-  // Möbius solver counts on exact call counts), so the SPMD executor must
-  // call self_value exactly once per iteration and root_value once per root.
-  OrdinaryIrSystem sys;
-  sys.cells = 9;
-  sys.g = {1, 2, 3, 4, 5, 6, 7, 8};
-  sys.f = {0, 1, 2, 3, 0, 5, 6, 7};  // two chains rooted at cell 0
-  std::vector<std::uint64_t> init(sys.cells);
-  for (std::size_t c = 0; c < sys.cells; ++c) init[c] = 10 + c;
-
-  PlanOptions options;
-  options.engine = EngineChoice::kSpmd;
-  const Plan plan = compile_plan(sys, options);
-
-  std::atomic<std::size_t> root_calls{0};
-  std::atomic<std::size_t> self_calls{0};
-  ExecOptions exec;
-  exec.workers = 3;
-  const auto op = AddMonoid<std::uint64_t>{};
-  const auto traces = execute_iteration_values<AddMonoid<std::uint64_t>>(
-      plan, op,
-      [&](std::size_t cell) {
-        ++root_calls;
-        return init[cell];
-      },
-      [&](std::size_t i) {
-        ++self_calls;
-        return init[sys.g[i]];
-      },
-      exec);
-
-  EXPECT_EQ(self_calls.load(), sys.iterations());
-  EXPECT_EQ(root_calls.load(), 2u);  // exactly the two chain roots
-  ASSERT_EQ(traces.size(), sys.iterations());
-  const auto expected = ordinary_ir_sequential(op, sys, init);
-  for (std::size_t i = 0; i < sys.iterations(); ++i) {
-    EXPECT_EQ(traces[i], expected[sys.g[i]]) << i;
-  }
-}
-
 namespace {
 
-/// A value type without a default constructor: forces the SPMD executor's
-/// sequential-seed path (it cannot resize buffers, so it must construct every
-/// entry from the hooks — still exactly once each).
+/// A value type without a default constructor: the round scratch of the
+/// jumping and SPMD executors cannot resize, so it clones an existing trace.
 struct Tagged {
   std::uint64_t v;
   explicit Tagged(std::uint64_t value) : v(value) {}
@@ -172,33 +134,23 @@ struct TaggedAdd {
 
 }  // namespace
 
-TEST(SpmdIrTest, NonDefaultConstructibleValuesStillSeedOncePerIteration) {
+TEST(SpmdIrTest, NonDefaultConstructibleValuesRunOnEveryOrdinaryEngine) {
   static_assert(!std::is_default_constructible_v<Tagged>);
+  // Two chains from cell 0 (the second starts at iteration 4), so the
+  // schedules have roots, rounds, and cross-block fix-ups.
   OrdinaryIrSystem sys;
-  sys.cells = 6;
-  sys.g = {1, 2, 3, 4, 5};
-  sys.f = {0, 1, 2, 3, 4};  // one chain
-  PlanOptions options;
-  options.engine = EngineChoice::kSpmd;
-  const Plan plan = compile_plan(sys, options);
+  sys.cells = 9;
+  sys.g = {1, 2, 3, 4, 5, 6, 7, 8};
+  sys.f = {0, 1, 2, 3, 0, 5, 6, 7};
+  std::vector<Tagged> init;
+  for (std::size_t c = 0; c < sys.cells; ++c) init.emplace_back(10 + c);
+  const auto expect = ordinary_ir_sequential(TaggedAdd{}, sys, init);
 
-  std::atomic<std::size_t> self_calls{0};
-  ExecOptions exec;
-  exec.workers = 2;
-  const auto traces = execute_iteration_values<TaggedAdd>(
-      plan, TaggedAdd{}, [](std::size_t cell) { return Tagged(100 + cell); },
-      [&](std::size_t i) {
-        ++self_calls;
-        return Tagged(i + 1);
-      },
-      exec);
-  EXPECT_EQ(self_calls.load(), sys.iterations());
-  // Chain i folds root 100 + all self values 1..i+1.
-  ASSERT_EQ(traces.size(), 5u);
-  std::uint64_t acc = 100;
-  for (std::size_t i = 0; i < 5; ++i) {
-    acc += i + 1;
-    EXPECT_EQ(traces[i].v, acc) << i;
+  for (const EngineChoice engine : {EngineChoice::kJumping, EngineChoice::kBlocked,
+                                    EngineChoice::kSpmd, EngineChoice::kScan}) {
+    const Plan plan = compile_plan(sys, {.engine = engine, .blocks = 3});
+    EXPECT_EQ(execute_plan(plan, TaggedAdd{}, init, {.workers = 3}), expect)
+        << to_string(plan.engine);
   }
 }
 

@@ -1,8 +1,5 @@
-// Exercises the deprecated one-shot shims (core/compat.hpp) on purpose;
-// the define keeps -Werror builds green without losing the diagnostic
-// elsewhere.
-#define IR_COMPAT_ALLOW_DEPRECATED
-#include "core/compat.hpp"
+// The pointer-jumping route: a forced kJumping plan, compiled and replayed
+// once per call, against the sequential loop.
 #include "core/ordinary_ir.hpp"
 
 #include <gtest/gtest.h>
@@ -21,6 +18,15 @@ using algebra::Mat2Monoid;
 using testing::random_initial_u64;
 using testing::random_ordinary_system;
 
+/// One solve through a freshly compiled jumping plan.
+template <typename Op>
+std::vector<typename Op::Value> jumping(const Op& op, const OrdinaryIrSystem& sys,
+                                        std::vector<typename Op::Value> init,
+                                        const ExecOptions& exec = {}) {
+  const Plan plan = compile_plan(sys, {.engine = EngineChoice::kJumping});
+  return execute_plan(plan, op, std::move(init), exec);
+}
+
 TEST(OrdinaryIrSequentialTest, ExecutesLoopAsWritten) {
   // A[1] = A[0]+A[1]; A[2] = A[1]+A[2] with A = {1, 10, 100}.
   OrdinaryIrSystem sys{3, {0, 1}, {1, 2}};
@@ -36,13 +42,13 @@ TEST(OrdinaryIrSequentialTest, ValidatesInitialSize) {
 
 TEST(OrdinaryIrParallelTest, EmptySystem) {
   OrdinaryIrSystem sys{3, {}, {}};
-  const auto out = ordinary_ir_parallel(AddMonoid<std::uint64_t>{}, sys, {5, 6, 7});
+  const auto out = jumping(AddMonoid<std::uint64_t>{}, sys, {5, 6, 7});
   EXPECT_EQ(out, (std::vector<std::uint64_t>{5, 6, 7}));
 }
 
 TEST(OrdinaryIrParallelTest, UntouchedCellsKeepInitialValues) {
   OrdinaryIrSystem sys{5, {0}, {2}};
-  const auto out = ordinary_ir_parallel(AddMonoid<std::uint64_t>{}, sys, {1, 2, 3, 4, 5});
+  const auto out = jumping(AddMonoid<std::uint64_t>{}, sys, {1, 2, 3, 4, 5});
   EXPECT_EQ(out, (std::vector<std::uint64_t>{1, 2, 4, 4, 5}));
 }
 
@@ -58,9 +64,8 @@ TEST(OrdinaryIrParallelTest, SingleChainMatchesAndUsesLogRounds) {
   const auto expect = ordinary_ir_sequential(AddMonoid<std::uint64_t>{}, sys, init);
 
   OrdinaryIrStats stats;
-  OrdinaryIrOptions options;
-  options.stats = &stats;
-  const auto actual = ordinary_ir_parallel(AddMonoid<std::uint64_t>{}, sys, init, options);
+  const auto actual =
+      jumping(AddMonoid<std::uint64_t>{}, sys, init, {.ordinary_stats = &stats});
   EXPECT_EQ(actual, expect);
   EXPECT_EQ(actual[n], n + 1);  // 1 + n additions of 1
   EXPECT_LE(stats.rounds, static_cast<std::size_t>(std::bit_width(n)));
@@ -76,7 +81,7 @@ TEST(OrdinaryIrParallelTest, NonCommutativeOrderPreserved) {
     std::vector<std::string> init(100);
     for (std::size_t c = 0; c < 100; ++c) init[c] = std::string(1, char('a' + c % 26));
     const auto expect = ordinary_ir_sequential(ConcatMonoid{}, sys, init);
-    const auto actual = ordinary_ir_parallel(ConcatMonoid{}, sys, init);
+    const auto actual = jumping(ConcatMonoid{}, sys, init);
     EXPECT_EQ(actual, expect) << "trial " << trial;
   }
 }
@@ -90,24 +95,7 @@ TEST(OrdinaryIrParallelTest, NonCommutativeMatricesMatch) {
     m = {static_cast<long>(rng.below(3)), static_cast<long>(rng.below(3)),
          static_cast<long>(rng.below(3)), 1};
   }
-  EXPECT_EQ(ordinary_ir_parallel(op, sys, init), ordinary_ir_sequential(op, sys, init));
-}
-
-TEST(OrdinaryIrParallelTest, EarlyTerminationDoesNotChangeResults) {
-  support::SplitMix64 rng(7);
-  const auto sys = random_ordinary_system(200, 300, rng);
-  const auto init = random_initial_u64(300, rng);
-  OrdinaryIrStats eager_stats, naive_stats;
-  OrdinaryIrOptions eager, naive;
-  eager.stats = &eager_stats;
-  naive.early_termination = false;
-  naive.stats = &naive_stats;
-  const auto op = AddMonoid<std::uint64_t>{};
-  const auto a = ordinary_ir_parallel(op, sys, init, eager);
-  const auto b = ordinary_ir_parallel(op, sys, init, naive);
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(eager_stats.rounds, naive_stats.rounds);
-  EXPECT_LE(eager_stats.op_applications, naive_stats.op_applications);
+  EXPECT_EQ(jumping(op, sys, init), ordinary_ir_sequential(op, sys, init));
 }
 
 TEST(OrdinaryIrParallelTest, ThreadPoolAndCapsMatch) {
@@ -119,28 +107,15 @@ TEST(OrdinaryIrParallelTest, ThreadPoolAndCapsMatch) {
 
   parallel::ThreadPool pool(4);
   for (std::size_t cap : {0u, 1u, 2u, 5u, 64u}) {
-    OrdinaryIrOptions options;
-    options.pool = &pool;
-    options.processor_cap = cap;
-    EXPECT_EQ(ordinary_ir_parallel(op, sys, init, options), expect) << "cap " << cap;
+    EXPECT_EQ(jumping(op, sys, init, {.pool = &pool, .processor_cap = cap}), expect)
+        << "cap " << cap;
   }
 }
 
 TEST(OrdinaryIrParallelTest, RejectsNonInjectiveG) {
   OrdinaryIrSystem sys{3, {0, 0}, {1, 1}};
-  EXPECT_THROW(ordinary_ir_parallel(AddMonoid<std::uint64_t>{}, sys, {1, 2, 3}),
+  EXPECT_THROW(jumping(AddMonoid<std::uint64_t>{}, sys, {1, 2, 3}),
                support::ContractViolation);
-}
-
-TEST(OrdinaryIrEngineTest, CustomHooksAreHonoured) {
-  // root_value/self_value hooks: roots read 100+cell, self terms are 1000+i.
-  OrdinaryIrSystem sys{4, {0, 1}, {1, 2}};
-  const auto traces = ordinary_ir_iteration_values<AddMonoid<std::uint64_t>>(
-      AddMonoid<std::uint64_t>{}, sys,
-      [](std::size_t cell) { return 100 + cell; },
-      [](std::size_t i) { return 1000 + i; });
-  // i0: root -> (100+0) + (1000+0) = 1100; i1: 1100 + 1001 = 2101.
-  EXPECT_EQ(traces, (std::vector<std::uint64_t>{1100, 2101}));
 }
 
 // The main property sweep: parallel == sequential across sizes, aliasing
@@ -160,7 +135,7 @@ TEST_P(OrdinaryIrSweepTest, ParallelEqualsSequential) {
   const auto sys = random_ordinary_system(p.iterations, p.cells, rng, p.rewire);
   const auto init = random_initial_u64(p.cells, rng);
   const auto op = AddMonoid<std::uint64_t>{};
-  EXPECT_EQ(ordinary_ir_parallel(op, sys, init), ordinary_ir_sequential(op, sys, init));
+  EXPECT_EQ(jumping(op, sys, init), ordinary_ir_sequential(op, sys, init));
 }
 
 TEST_P(OrdinaryIrSweepTest, OrderPreservedUnderSweep) {
@@ -173,7 +148,7 @@ TEST_P(OrdinaryIrSweepTest, OrderPreservedUnderSweep) {
     for (std::size_t c = 0; c < p.cells; ++c) {
       init[c] = std::string(1, char('A' + c % 26));
     }
-    EXPECT_EQ(ordinary_ir_parallel(ConcatMonoid{}, sys, init),
+    EXPECT_EQ(jumping(ConcatMonoid{}, sys, init),
               ordinary_ir_sequential(ConcatMonoid{}, sys, init));
   } else {
     // Large sizes: 2x2 matrix products over Z/2^64 — still non-commutative,
@@ -183,7 +158,7 @@ TEST_P(OrdinaryIrSweepTest, OrderPreservedUnderSweep) {
     for (auto& m : init) {
       m = {rng.below(5), rng.below(5), rng.below(5), rng.below(5)};
     }
-    EXPECT_EQ(ordinary_ir_parallel(op, sys, init), ordinary_ir_sequential(op, sys, init));
+    EXPECT_EQ(jumping(op, sys, init), ordinary_ir_sequential(op, sys, init));
   }
 }
 

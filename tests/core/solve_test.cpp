@@ -1,12 +1,11 @@
-// Exercises the deprecated one-shot shims (core/compat.hpp) on purpose;
-// the define keeps -Werror builds green without losing the diagnostic
-// elsewhere.
-#define IR_COMPAT_ALLOW_DEPRECATED
-#include "core/compat.hpp"
-
+// kAuto routing: compile_plan picks elementwise / scan / blocked / jumping /
+// CAP by shape, and every pick must agree with the sequential loop.
 #include <gtest/gtest.h>
 
 #include "algebra/monoids.hpp"
+#include "core/general_ir.hpp"
+#include "core/ordinary_ir.hpp"
+#include "core/plan.hpp"
 #include "testing/random_systems.hpp"
 
 namespace ir::core {
@@ -17,12 +16,10 @@ using algebra::ModMulMonoid;
 TEST(SolveRouterTest, StreamingGoesElementwise) {
   GeneralIrSystem sys{8, {6, 7}, {0, 1}, {6, 6}};
   ModMulMonoid op(97);
-  SystemReport report;
-  SolveOptions options;
-  options.report_out = &report;
+  const Plan plan = compile_plan(sys);
   const std::vector<std::uint64_t> init{2, 3, 4, 5, 6, 7, 8, 9};
-  EXPECT_EQ(solve(op, sys, init, options), general_ir_sequential(op, sys, init));
-  EXPECT_EQ(report.route, SolverRoute::kElementwiseParallel);
+  EXPECT_EQ(execute_plan(plan, op, init), general_ir_sequential(op, sys, init));
+  EXPECT_EQ(plan.report.route, SolverRoute::kElementwiseParallel);
 }
 
 TEST(SolveRouterTest, OrdinaryShapedAvoidsCap) {
@@ -32,10 +29,9 @@ TEST(SolveRouterTest, OrdinaryShapedAvoidsCap) {
   ModMulMonoid op(1'000'000'007ull);
   std::vector<std::uint64_t> init(400);
   for (auto& v : init) v = 1 + rng.below(1'000'000'006ull);
-  SystemReport report;
-  SolveOptions options;
-  options.report_out = &report;
-  EXPECT_EQ(solve(op, sys, init, options), general_ir_sequential(op, sys, init));
+  const Plan plan = compile_plan(sys);
+  EXPECT_NE(plan.engine, PlanEngine::kGeneralCap);
+  EXPECT_EQ(execute_plan(plan, op, init), general_ir_sequential(op, sys, init));
 }
 
 TEST(SolveRouterTest, GeneralShapedUsesCap) {
@@ -44,7 +40,7 @@ TEST(SolveRouterTest, GeneralShapedUsesCap) {
   ModMulMonoid op(1'000'000'007ull);
   std::vector<std::uint64_t> init(100);
   for (auto& v : init) v = 1 + rng.below(1'000'000'006ull);
-  EXPECT_EQ(solve(op, sys, init), general_ir_sequential(op, sys, init));
+  EXPECT_EQ(execute_plan(compile_plan(sys), op, init), general_ir_sequential(op, sys, init));
 }
 
 TEST(SolveRouterTest, OrdinaryOverloadAcceptsNonCommutativeOps) {
@@ -52,7 +48,7 @@ TEST(SolveRouterTest, OrdinaryOverloadAcceptsNonCommutativeOps) {
   const auto sys = testing::random_ordinary_system(150, 250, rng, 0.8);
   std::vector<std::string> init(250);
   for (std::size_t c = 0; c < 250; ++c) init[c] = std::string(1, char('a' + c % 26));
-  EXPECT_EQ(solve(algebra::ConcatMonoid{}, sys, init),
+  EXPECT_EQ(execute_plan(compile_plan(sys), algebra::ConcatMonoid{}, init),
             ordinary_ir_sequential(algebra::ConcatMonoid{}, sys, init));
 }
 
@@ -65,12 +61,11 @@ TEST(SolveRouterTest, LocalChainPrefersBlockedSolver) {
     sys.g.push_back(i + 1);
   }
   std::vector<std::uint64_t> init(n + 1, 1);
-  SystemReport report;
-  SolveOptions options;
-  options.report_out = &report;
+  const PlanOptions options;
+  const Plan plan = compile_plan(sys, options);
   const auto op = algebra::AddMonoid<std::uint64_t>{};
-  EXPECT_EQ(solve(op, sys, init, options), ordinary_ir_sequential(op, sys, init));
-  ASSERT_FALSE(report.cross_block_fraction.empty());
+  EXPECT_EQ(execute_plan(plan, op, init), ordinary_ir_sequential(op, sys, init));
+  ASSERT_FALSE(plan.report.cross_block_fraction.empty());
   EXPECT_TRUE(detail::prefer_blocked(GeneralIrSystem::from_ordinary(sys), 4,
                                      options.blocked_threshold));
 }
@@ -108,9 +103,9 @@ TEST(SolveRouterTest, PooledRoutesMatch) {
     const auto sys = testing::random_general_system(300, 200, rng, 0.7);
     std::vector<std::uint64_t> init(200);
     for (auto& v : init) v = 1 + rng.below(999999936ull);
-    SolveOptions options;
-    options.pool = &pool;
-    EXPECT_EQ(solve(op, sys, init, options), general_ir_sequential(op, sys, init))
+    const Plan plan = compile_plan(sys, {.pool = &pool});
+    EXPECT_EQ(execute_plan(plan, op, init, {.pool = &pool}),
+              general_ir_sequential(op, sys, init))
         << trial;
   }
 }
@@ -120,7 +115,7 @@ TEST(SolveRouterTest, PruningOnByDefaultStillCorrect) {
   GeneralIrSystem sys{6, {2, 3, 4}, {1, 1, 1}, {5, 5, 5}};
   ModMulMonoid op(101);
   const std::vector<std::uint64_t> init{1, 2, 3, 4, 5, 6};
-  EXPECT_EQ(solve(op, sys, init), general_ir_sequential(op, sys, init));
+  EXPECT_EQ(execute_plan(compile_plan(sys), op, init), general_ir_sequential(op, sys, init));
 }
 
 }  // namespace

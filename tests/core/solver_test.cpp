@@ -1,8 +1,4 @@
 // Solver facade: content-addressed plan caching and one-call solve.
-// Exercises the deprecated one-shot shims (core/compat.hpp) on purpose;
-// the define keeps -Werror builds green without losing the diagnostic
-// elsewhere.
-#define IR_COMPAT_ALLOW_DEPRECATED
 #include "core/solver.hpp"
 
 #include <gtest/gtest.h>
@@ -16,7 +12,6 @@
 #include "algebra/monoids.hpp"
 #include "core/general_ir.hpp"
 #include "core/ordinary_ir.hpp"
-#include "core/compat.hpp"
 #include "core/plan_io.hpp"
 #include "testing/random_systems.hpp"
 
@@ -344,28 +339,25 @@ TEST(SolverTest, StoreWritesCanBeDisabled) {
 }
 
 TEST(SolveRouterReportTest, ReportOutFilledOnEveryRoute) {
-  // The elementwise route historically skipped report_out population on one
-  // overload; the plan owns its report now, so every route fills it.
+  // The elementwise route historically skipped its report on one overload;
+  // the plan owns its report now, so every route (and overload) carries it.
   ModMulMonoid op(97);
+  Solver solver;
   {
     GeneralIrSystem streaming{8, {6, 7}, {0, 1}, {6, 6}};
-    SystemReport report;
-    SolveOptions options;
-    options.report_out = &report;
-    (void)solve(op, streaming, std::vector<std::uint64_t>(8, 1), options);
-    EXPECT_EQ(report.route, SolverRoute::kElementwiseParallel);
+    const auto plan = solver.compile(streaming);
+    (void)solver.execute(*plan, op, std::vector<std::uint64_t>(8, 1));
+    EXPECT_EQ(plan->report.route, SolverRoute::kElementwiseParallel);
   }
   {
     OrdinaryIrSystem streaming;
     streaming.cells = 8;
     streaming.f = {6, 7};
     streaming.g = {0, 1};
-    SystemReport report;
-    SolveOptions options;
-    options.report_out = &report;
-    (void)solve(op, streaming, std::vector<std::uint64_t>(8, 1), options);
-    EXPECT_EQ(report.route, SolverRoute::kElementwiseParallel);
-    EXPECT_EQ(report.dependences, 0u);
+    const auto plan = solver.compile(streaming);
+    (void)solver.execute(*plan, op, std::vector<std::uint64_t>(8, 1));
+    EXPECT_EQ(plan->report.route, SolverRoute::kElementwiseParallel);
+    EXPECT_EQ(plan->report.dependences, 0u);
   }
 }
 

@@ -1,15 +1,11 @@
 // Frontend fuzzing: random rectangular loop nests with random affine
 // subscripts, pushed through print -> parse -> lower -> route -> solve and
 // compared against direct sequential execution of the lowered system.
-// Exercises the deprecated one-shot shims (core/compat.hpp) on purpose;
-// the define keeps -Werror builds green without losing the diagnostic
-// elsewhere.
-#define IR_COMPAT_ALLOW_DEPRECATED
 #include <gtest/gtest.h>
 
 #include "algebra/monoids.hpp"
 #include "core/general_ir.hpp"
-#include "core/compat.hpp"
+#include "core/plan.hpp"
 #include "frontend/lower.hpp"
 #include "frontend/parser.hpp"
 #include "support/rng.hpp"
@@ -80,7 +76,7 @@ TEST_P(FrontendFuzzTest, PrintParseLowerSolveAgree) {
     // random subscripts produced.
     std::vector<std::uint64_t> init(lowered.system.cells);
     for (std::size_t c = 0; c < init.size(); ++c) init[c] = 1 + (c * 37 + 11) % 1000;
-    EXPECT_EQ(core::solve(op, lowered.system, init),
+    EXPECT_EQ(core::execute_plan(core::compile_plan(lowered.system), op, init),
               core::general_ir_sequential(op, lowered.system, init))
         << "seed " << GetParam() << " trial " << trial;
   }

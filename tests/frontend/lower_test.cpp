@@ -1,7 +1,3 @@
-// Exercises the deprecated one-shot shims (core/compat.hpp) on purpose;
-// the define keeps -Werror builds green without losing the diagnostic
-// elsewhere.
-#define IR_COMPAT_ALLOW_DEPRECATED
 #include "frontend/lower.hpp"
 
 #include <gtest/gtest.h>
@@ -9,7 +5,7 @@
 #include "algebra/monoids.hpp"
 #include "core/classify.hpp"
 #include "core/general_ir.hpp"
-#include "core/compat.hpp"
+#include "core/plan.hpp"
 #include "frontend/parser.hpp"
 
 namespace ir::frontend {
@@ -132,7 +128,7 @@ for j = 1 .. 6 {
   algebra::ModMulMonoid op(1'000'000'007ull);
   std::vector<std::uint64_t> init(lowered.system.cells);
   for (std::size_t c = 0; c < init.size(); ++c) init[c] = 1 + c % 89;
-  EXPECT_EQ(core::solve(op, lowered.system, init),
+  EXPECT_EQ(core::execute_plan(core::compile_plan(lowered.system), op, init),
             core::general_ir_sequential(op, lowered.system, init));
 }
 

@@ -1,20 +1,16 @@
 // End-to-end scenarios: classify a loop, route it to the right solver, and
 // check the result against direct execution — the workflow a parallelizing
 // compiler built on this library would run.
-// Exercises the deprecated one-shot shims (core/compat.hpp) on purpose;
-// the define keeps -Werror builds green without losing the diagnostic
-// elsewhere.
-#define IR_COMPAT_ALLOW_DEPRECATED
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "algebra/monoids.hpp"
-#include "core/compat.hpp"
 #include "core/classify.hpp"
 #include "core/general_ir.hpp"
 #include "core/linear_ir.hpp"
 #include "core/ordinary_ir.hpp"
+#include "core/plan.hpp"
 #include "scan/linear_recurrence.hpp"
 #include "testing/random_systems.hpp"
 
@@ -25,6 +21,16 @@ using core::GeneralIrSystem;
 using core::LinearIrLoop;
 using core::LoopClass;
 using core::OrdinaryIrSystem;
+
+/// One solve through a freshly compiled plan for a forced engine (CAP runs
+/// unpruned: the paper's plain algorithm).
+template <typename Op, typename System>
+std::vector<typename Op::Value> forced(core::EngineChoice engine, const Op& op,
+                                       const System& sys, std::vector<typename Op::Value> init,
+                                       core::OrdinaryIrStats* stats = nullptr) {
+  const core::Plan plan = core::compile_plan(sys, {.engine = engine, .prune_dead = false});
+  return core::execute_plan(plan, op, std::move(init), {.ordinary_stats = stats});
+}
 
 TEST(EndToEndTest, ClassifyThenSolveByRoute) {
   support::SplitMix64 rng(71);
@@ -40,14 +46,14 @@ TEST(EndToEndTest, ClassifyThenSolveByRoute) {
       case LoopClass::kNoRecurrence:
       case LoopClass::kLinearRecurrence:
       case LoopClass::kGeneralIndexed:
-        EXPECT_EQ(general_ir_parallel(op, sys, init), expect);
+        EXPECT_EQ(forced(core::EngineChoice::kGeneralCap, op, sys, init), expect);
         break;
       case LoopClass::kOrdinaryIndexed: {
         OrdinaryIrSystem ord;
         ord.cells = sys.cells;
         ord.f = sys.f;
         ord.g = sys.g;
-        EXPECT_EQ(ordinary_ir_parallel(op, ord, init), expect);
+        EXPECT_EQ(forced(core::EngineChoice::kJumping, op, ord, init), expect);
         break;
       }
     }
@@ -94,7 +100,7 @@ TEST(EndToEndTest, GirSubsumesEverySmallerClass) {
   // Streaming.
   GeneralIrSystem streaming{8, {6, 7}, {0, 1}, {6, 6}};
   ASSERT_EQ(core::classify(streaming), LoopClass::kNoRecurrence);
-  EXPECT_EQ(general_ir_parallel(op, streaming, {1, 2, 3, 4, 5, 6, 7, 8}),
+  EXPECT_EQ(forced(core::EngineChoice::kGeneralCap, op, streaming, {1, 2, 3, 4, 5, 6, 7, 8}),
             general_ir_sequential(op, streaming, {1, 2, 3, 4, 5, 6, 7, 8}));
 
   // Linear chain.
@@ -108,14 +114,16 @@ TEST(EndToEndTest, GirSubsumesEverySmallerClass) {
   ASSERT_EQ(core::classify(chain), LoopClass::kLinearRecurrence);
   std::vector<std::uint64_t> init(32);
   for (auto& v : init) v = rng.below(999999937ull);
-  EXPECT_EQ(general_ir_parallel(op, chain, init), general_ir_sequential(op, chain, init));
+  EXPECT_EQ(forced(core::EngineChoice::kGeneralCap, op, chain, init),
+            general_ir_sequential(op, chain, init));
 
   // Ordinary indexed.
   const auto ord = testing::random_ordinary_system(50, 64, rng, 0.9);
   const auto gir = GeneralIrSystem::from_ordinary(ord);
   std::vector<std::uint64_t> init2(64);
   for (auto& v : init2) v = rng.below(999999937ull);
-  EXPECT_EQ(general_ir_parallel(op, gir, init2), general_ir_sequential(op, gir, init2));
+  EXPECT_EQ(forced(core::EngineChoice::kGeneralCap, op, gir, init2),
+            general_ir_sequential(op, gir, init2));
 }
 
 TEST(EndToEndTest, DeepChainsStressRoundGuards) {
@@ -131,9 +139,7 @@ TEST(EndToEndTest, DeepChainsStressRoundGuards) {
   std::vector<std::uint64_t> init(n + 1, 1);
   const auto op = algebra::AddMonoid<std::uint64_t>{};
   core::OrdinaryIrStats stats;
-  core::OrdinaryIrOptions options;
-  options.stats = &stats;
-  const auto out = ordinary_ir_parallel(op, sys, init, options);
+  const auto out = forced(core::EngineChoice::kJumping, op, sys, init, &stats);
   EXPECT_EQ(out[n], n + 1);
   EXPECT_LE(stats.rounds, 15u);  // ceil(log2 20000) = 15
 }

@@ -1,10 +1,6 @@
 // Failure injection: operators that throw mid-computation.  Solvers must
 // propagate the exception (including across thread-pool and SPMD workers)
 // and leave the runtime reusable afterwards.
-// Exercises the deprecated one-shot shims (core/compat.hpp) on purpose;
-// the define keeps -Werror builds green without losing the diagnostic
-// elsewhere.
-#define IR_COMPAT_ALLOW_DEPRECATED
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,8 +8,7 @@
 #include "algebra/monoids.hpp"
 #include "core/general_ir.hpp"
 #include "core/ordinary_ir.hpp"
-#include "core/ordinary_ir_blocked.hpp"
-#include "core/compat.hpp"
+#include "core/plan.hpp"
 #include "testing/random_systems.hpp"
 
 namespace ir {
@@ -36,6 +31,15 @@ struct FusedMonoid {
   }
 };
 
+/// One solve through a freshly compiled plan for a forced engine.
+template <typename Op, typename System>
+std::vector<typename Op::Value> forced(core::EngineChoice engine, const Op& op,
+                                       const System& sys, std::vector<typename Op::Value> init,
+                                       const core::ExecOptions& exec = {}) {
+  const core::PlanOptions options{.engine = engine, .blocks = 8, .prune_dead = false};
+  return core::execute_plan(core::compile_plan(sys, options), op, std::move(init), exec);
+}
+
 class FailureInjectionTest : public ::testing::Test {
  protected:
   std::atomic<std::size_t> counter{0};
@@ -56,42 +60,44 @@ TEST_F(FailureInjectionTest, SequentialPropagates) {
 
 TEST_F(FailureInjectionTest, JumpingPropagatesAndPoolSurvives) {
   parallel::ThreadPool pool(3);
-  core::OrdinaryIrOptions options;
-  options.pool = &pool;
-  EXPECT_THROW((void)core::ordinary_ir_parallel(fused(50), sys, init, options),
+  const core::ExecOptions exec{.pool = &pool};
+  EXPECT_THROW((void)forced(core::EngineChoice::kJumping, fused(50), sys, init, exec),
                std::runtime_error);
   // The pool must remain usable: run the real solve afterwards.
   const auto op = algebra::AddMonoid<std::uint64_t>{};
-  EXPECT_EQ(core::ordinary_ir_parallel(op, sys, init, options),
+  EXPECT_EQ(forced(core::EngineChoice::kJumping, op, sys, init, exec),
             core::ordinary_ir_sequential(op, sys, init));
 }
 
 TEST_F(FailureInjectionTest, BlockedPropagates) {
-  core::BlockedIrOptions options;
-  options.blocks = 8;
-  EXPECT_THROW((void)core::ordinary_ir_blocked(fused(50), sys, init, options),
+  EXPECT_THROW((void)forced(core::EngineChoice::kBlocked, fused(50), sys, init),
                std::runtime_error);
 }
 
 TEST_F(FailureInjectionTest, SpmdPropagatesWithoutDeadlock) {
-  EXPECT_THROW((void)core::ordinary_ir_spmd(fused(50), sys, init, 3),
-               std::runtime_error);
+  const core::Plan plan = core::compile_plan(sys, {.engine = core::EngineChoice::kSpmd});
+  // The root seeds fold on the calling thread; fuse past them so the throw
+  // comes from inside a worker's round.
+  ASSERT_GT(plan.jump.moves(), 50u);
+  EXPECT_THROW(
+      (void)core::execute_plan(plan, fused(plan.jump.seed_ops + 50), init, {.workers = 3}),
+      std::runtime_error);
   // And a clean run still works on fresh workers.
   const auto op = algebra::AddMonoid<std::uint64_t>{};
-  EXPECT_EQ(core::ordinary_ir_spmd(op, sys, init, 3),
+  EXPECT_EQ(core::execute_plan(plan, op, init, {.workers = 3}),
             core::ordinary_ir_sequential(op, sys, init));
 }
 
 TEST_F(FailureInjectionTest, GirEvaluationPropagates) {
   const auto gir = core::GeneralIrSystem::from_ordinary(sys);
-  EXPECT_THROW((void)core::general_ir_parallel(fused(20), gir, init),
+  EXPECT_THROW((void)forced(core::EngineChoice::kGeneralCap, fused(20), gir, init),
                std::runtime_error);
 }
 
 TEST_F(FailureInjectionTest, LateFuseMeansSuccess) {
   // A fuse beyond the total combine count must not fire.
   const auto op = fused(1u << 30);
-  EXPECT_EQ(core::ordinary_ir_parallel(op, sys, init),
+  EXPECT_EQ(forced(core::EngineChoice::kJumping, op, sys, init),
             core::ordinary_ir_sequential(algebra::AddMonoid<std::uint64_t>{}, sys, init));
 }
 

@@ -2,17 +2,13 @@
 // parallel, PRAM-simulated, thread-pooled, GIR-via-CAP, GIR-via-DP) must
 // agree on the same random systems — the strongest end-to-end statement of
 // the paper's correctness claims this library can execute.
-// Exercises the deprecated one-shot shims (core/compat.hpp) on purpose;
-// the define keeps -Werror builds green without losing the diagnostic
-// elsewhere.
-#define IR_COMPAT_ALLOW_DEPRECATED
 #include <gtest/gtest.h>
 
 #include "algebra/monoids.hpp"
-#include "core/compat.hpp"
 #include "core/general_ir.hpp"
 #include "core/ordinary_ir.hpp"
 #include "core/ordinary_ir_pram.hpp"
+#include "core/plan.hpp"
 #include "testing/random_systems.hpp"
 
 namespace ir {
@@ -20,9 +16,20 @@ namespace {
 
 using algebra::AddMonoid;
 using algebra::ModMulMonoid;
-using core::GeneralIrOptions;
+using core::EngineChoice;
 using core::GeneralIrSystem;
-using core::OrdinaryIrOptions;
+using core::PlanOptions;
+
+/// One solve through a freshly compiled plan; `pool` runs both the compile
+/// (CAP rounds) and the execute.
+template <typename Op, typename System>
+std::vector<typename Op::Value> planned(const Op& op, const System& sys,
+                                        const std::vector<typename Op::Value>& init,
+                                        PlanOptions options,
+                                        core::ExecOptions exec = {}) {
+  options.pool = exec.pool;
+  return core::execute_plan(core::compile_plan(sys, options), op, init, exec);
+}
 
 struct IntegrationParam {
   std::size_t iterations;
@@ -43,14 +50,13 @@ TEST_P(AllRoutesAgreeTest, OrdinaryRoutes) {
   const auto sequential = ordinary_ir_sequential(op, sys, init);
 
   // Host parallel (no pool).
-  EXPECT_EQ(ordinary_ir_parallel(op, sys, init), sequential);
+  const PlanOptions jumping{.engine = EngineChoice::kJumping};
+  EXPECT_EQ(planned(op, sys, init, jumping), sequential);
 
   // Host parallel, pooled and capped.
   parallel::ThreadPool pool(3);
-  OrdinaryIrOptions pooled;
-  pooled.pool = &pool;
-  pooled.processor_cap = 2;
-  EXPECT_EQ(ordinary_ir_parallel(op, sys, init, pooled), sequential);
+  EXPECT_EQ(planned(op, sys, init, jumping, {.pool = &pool, .processor_cap = 2}),
+            sequential);
 
   // PRAM-simulated, audited CREW.
   pram::Machine machine(5, pram::AccessMode::kCrew);
@@ -62,7 +68,8 @@ TEST_P(AllRoutesAgreeTest, OrdinaryRoutes) {
 
   // GIR embedding (h := g) through CAP.
   const auto gir = GeneralIrSystem::from_ordinary(sys);
-  EXPECT_EQ(general_ir_parallel(op, gir, init), sequential);
+  const PlanOptions cap{.engine = EngineChoice::kGeneralCap, .prune_dead = false};
+  EXPECT_EQ(planned(op, gir, init, cap), sequential);
 }
 
 TEST_P(AllRoutesAgreeTest, GeneralRoutes) {
@@ -74,17 +81,16 @@ TEST_P(AllRoutesAgreeTest, GeneralRoutes) {
   for (auto& v : init) v = 1 + rng.below(1'000'000'006ull);
 
   const auto sequential = general_ir_sequential(op, sys, init);
-  EXPECT_EQ(general_ir_parallel(op, sys, init), sequential);
+  PlanOptions cap{.engine = EngineChoice::kGeneralCap, .prune_dead = false};
+  EXPECT_EQ(planned(op, sys, init, cap), sequential);
 
-  GeneralIrOptions dp;
+  PlanOptions dp = cap;
   dp.reference_counts = true;
-  EXPECT_EQ(general_ir_parallel(op, sys, init, dp), sequential);
+  EXPECT_EQ(planned(op, sys, init, dp), sequential);
 
   parallel::ThreadPool pool(3);
-  GeneralIrOptions pooled;
-  pooled.pool = &pool;
-  pooled.coalesce_each_round = false;
-  EXPECT_EQ(general_ir_parallel(op, sys, init, pooled), sequential);
+  cap.coalesce_each_round = false;
+  EXPECT_EQ(planned(op, sys, init, cap, {.pool = &pool}), sequential);
 }
 
 INSTANTIATE_TEST_SUITE_P(

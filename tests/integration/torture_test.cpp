@@ -2,17 +2,12 @@
 // self-reads, total aliasing, permutation write maps, wide fans, chains at
 // the size extremes.  Every route must survive and agree with sequential
 // execution.
-// Exercises the deprecated one-shot shims (core/compat.hpp) on purpose;
-// the define keeps -Werror builds green without losing the diagnostic
-// elsewhere.
-#define IR_COMPAT_ALLOW_DEPRECATED
 #include <gtest/gtest.h>
 
 #include "algebra/monoids.hpp"
 #include "core/general_ir.hpp"
 #include "core/ordinary_ir.hpp"
-#include "core/ordinary_ir_blocked.hpp"
-#include "core/compat.hpp"
+#include "core/plan.hpp"
 #include "testing/random_systems.hpp"
 
 namespace ir {
@@ -23,17 +18,24 @@ using algebra::ModMulMonoid;
 using core::GeneralIrSystem;
 using core::OrdinaryIrSystem;
 
+/// One solve through a freshly compiled plan for `engine` (CAP unpruned).
+template <typename Op, typename System>
+std::vector<typename Op::Value> forced(core::EngineChoice engine, const Op& op,
+                                       const System& sys,
+                                       const std::vector<typename Op::Value>& init) {
+  const core::PlanOptions options{.engine = engine, .blocks = 5, .prune_dead = false};
+  return core::execute_plan(core::compile_plan(sys, options), op, init, {.workers = 3});
+}
+
 /// Check every ordinary route against the sequential ground truth.
 void check_ordinary_all_routes(const OrdinaryIrSystem& sys,
                                const std::vector<std::uint64_t>& init) {
   const auto op = AddMonoid<std::uint64_t>{};
   const auto expect = core::ordinary_ir_sequential(op, sys, init);
-  EXPECT_EQ(core::ordinary_ir_parallel(op, sys, init), expect);
-  core::BlockedIrOptions blocked;
-  blocked.blocks = 5;
-  EXPECT_EQ(core::ordinary_ir_blocked(op, sys, init, blocked), expect);
-  EXPECT_EQ(core::ordinary_ir_spmd(op, sys, init, 3), expect);
-  EXPECT_EQ(core::solve(op, sys, init), expect);
+  EXPECT_EQ(forced(core::EngineChoice::kJumping, op, sys, init), expect);
+  EXPECT_EQ(forced(core::EngineChoice::kBlocked, op, sys, init), expect);
+  EXPECT_EQ(forced(core::EngineChoice::kSpmd, op, sys, init), expect);
+  EXPECT_EQ(forced(core::EngineChoice::kAuto, op, sys, init), expect);
 }
 
 TEST(TortureTest, SelfReadEquations) {
@@ -100,8 +102,8 @@ TEST(TortureTest, GirTotalAliasing) {
   const std::vector<std::uint64_t> init{3, 1};
   // A[0] squares every iteration: 3^(2^200) mod p — BigUint exponents.
   const auto expect = core::general_ir_sequential(op, sys, init);
-  EXPECT_EQ(core::general_ir_parallel(op, sys, init), expect);
-  EXPECT_EQ(core::solve(op, sys, init), expect);
+  EXPECT_EQ(forced(core::EngineChoice::kGeneralCap, op, sys, init), expect);
+  EXPECT_EQ(core::execute_plan(core::compile_plan(sys), op, init), expect);
 }
 
 TEST(TortureTest, GirPingPong) {
@@ -117,7 +119,7 @@ TEST(TortureTest, GirPingPong) {
   }
   ModMulMonoid op(999999937ull);
   const std::vector<std::uint64_t> init{2, 5};
-  EXPECT_EQ(core::general_ir_parallel(op, sys, init),
+  EXPECT_EQ(forced(core::EngineChoice::kGeneralCap, op, sys, init),
             core::general_ir_sequential(op, sys, init));
 }
 
@@ -135,7 +137,7 @@ TEST(TortureTest, GirSameCellBothOperands) {
   ModMulMonoid op(1'000'000'007ull);
   std::vector<std::uint64_t> init(40);
   for (auto& v : init) v = 1 + rng.below(1'000'000'006ull);
-  EXPECT_EQ(core::general_ir_parallel(op, sys, init),
+  EXPECT_EQ(forced(core::EngineChoice::kGeneralCap, op, sys, init),
             core::general_ir_sequential(op, sys, init));
 }
 
@@ -170,7 +172,7 @@ TEST(TortureTest, GirDiamondLattice) {
   ModMulMonoid op(1'000'000'007ull);
   std::vector<std::uint64_t> init(n + 1, 1);
   init[0] = 7;
-  const auto out = core::general_ir_parallel(op, sys, init);
+  const auto out = forced(core::EngineChoice::kGeneralCap, op, sys, init);
   EXPECT_EQ(out, core::general_ir_sequential(op, sys, init));
   // Closed form: A[n] = 7^(2^n) mod p.
   EXPECT_EQ(out[n],

@@ -3,14 +3,9 @@
 // (and its solver smoke test must pass) in BOTH configurations — the
 // telemetry-OFF ctest run in tools/verify.sh is what exercises the other
 // branch of each #if below.
-// Exercises the deprecated one-shot shims (core/compat.hpp) on purpose;
-// the define keeps -Werror builds green without losing the diagnostic
-// elsewhere.
-#define IR_COMPAT_ALLOW_DEPRECATED
 #include <gtest/gtest.h>
 
 #include "algebra/monoids.hpp"
-#include "core/compat.hpp"
 #include "core/ordinary_ir.hpp"
 #include "obs/registry.hpp"
 #include "obs/span.hpp"
@@ -77,9 +72,8 @@ TEST(TelemetryMode, InstrumentedSolverRunsInEitherMode) {
   init[0] = 3;
   const auto op = algebra::AddMonoid<std::uint64_t>{};
   core::OrdinaryIrStats stats;
-  core::OrdinaryIrOptions options;
-  options.stats = &stats;
-  const auto out = core::ordinary_ir_parallel(op, sys, init, options);
+  const core::Plan plan = core::compile_plan(sys, {.engine = core::EngineChoice::kJumping});
+  const auto out = core::execute_plan(plan, op, init, {.ordinary_stats = &stats});
   EXPECT_EQ(out, core::ordinary_ir_sequential(op, sys, init));
   EXPECT_GT(stats.rounds, 0u);  // OrdinaryIrStats works regardless of the flag
 }

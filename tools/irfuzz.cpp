@@ -1,9 +1,9 @@
 // irfuzz — differential fuzzer over every IR solver route.
 //
 // Generates randomized systems across all shape classes (src/testing/
-// generators.hpp), runs each through every engine — legacy shims, forced
-// plans, the kAuto router, execute_many, and the cached Solver paths —
-// against the sequential oracle (src/testing/differential.hpp), and on any
+// generators.hpp), runs each through every engine — forced plans, the
+// kAuto router, execute_many, and the cached Solver paths — against the
+// sequential oracle (src/testing/differential.hpp), and on any
 // disagreement shrinks the system to a minimal reproducer (src/testing/
 // shrink.hpp) written in ir-system v1 format under --corpus, replayable with
 // `irfuzz <file>` or `irtool solve <file>`.  Each generated case additionally
