@@ -11,6 +11,7 @@
 //          edge blowup for O(log) depth.  Metric: wall time + peak edges.
 //   ABL-4  CAP per-round coalescing (paper's paths-addition every round)
 //          vs merging once at the end.  Metric: peak intermediate edges.
+//   ABL-5  blocked two-level solver vs pointer jumping.  Metric: ⊙ count.
 //
 // The host-side sections compile a forced plan per measurement
 // (compile_plan + execute_plan), so each timing includes its compile.
@@ -191,48 +192,15 @@ void ablation_blocked_vs_jumping() {
               "explicit\n\n");
 }
 
-void ablation_spmd_vs_forkjoin() {
-  std::printf("ABL-6: persistent SPMD workers vs fork/join per round (wall clock)\n");
-  support::TextTable table;
-  table.set_header({"n", "workers", "fork/join ms", "SPMD ms"});
-  const auto op = algebra::AddMonoid<std::uint64_t>{};
-  for (std::size_t n : {100000u, 400000u}) {
-    support::SplitMix64 rng(n);
-    const auto sys = bench::random_ordinary_system(n, n + n / 2, rng, 0.9);
-    const auto init = bench::random_initial_u64(n + n / 2, rng);
-    for (std::size_t workers : {2u, 4u}) {
-      parallel::ThreadPool pool(workers);
-      support::Stopwatch watch;
-      const auto a =
-          core::execute_plan(core::compile_plan(sys, {.engine = core::EngineChoice::kJumping}),
-                             op, init, {.pool = &pool});
-      const double fork_ms = watch.lap() * 1e3;
-
-      const auto b =
-          core::execute_plan(core::compile_plan(sys, {.engine = core::EngineChoice::kSpmd}),
-                             op, init, {.workers = workers});
-      const double spmd_ms = watch.lap() * 1e3;
-      if (a != b) {
-        std::printf("ERROR: solver mismatch\n");
-        return;
-      }
-      table.add_row({std::to_string(n), std::to_string(workers),
-                     support::fmt_f(fork_ms, 2), support::fmt_f(spmd_ms, 2)});
-    }
-  }
-  std::printf("%s\n", table.render().c_str());
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Optional argument: run a single section (1-6); default runs all.
+  // Optional argument: run a single section (1-5); default runs all.
   const int which = argc > 1 ? std::atoi(argv[1]) : 0;
   if (which == 0 || which == 1) ablation_early_termination();
   if (which == 0 || which == 2) ablation_processor_cap();
   if (which == 0 || which == 3) ablation_cap_vs_dp();
   if (which == 0 || which == 4) ablation_coalescing();
   if (which == 0 || which == 5) ablation_blocked_vs_jumping();
-  if (which == 0 || which == 6) ablation_spmd_vs_forkjoin();
   return 0;
 }

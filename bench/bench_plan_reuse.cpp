@@ -1,7 +1,7 @@
 // bench_plan_reuse — what the plan/execute split buys when one system is
 // solved many times (the inspector/executor amortization argument).
 //
-// For each ordinary engine (jumping, blocked, SPMD) at a fixed n and K:
+// For each ordinary engine (jumping, blocked) at a fixed n and K:
 //
 //   cold     K full solves: compile_plan + execute_plan every repetition
 //            (what every pre-plan API call paid)
@@ -72,7 +72,6 @@ CaseResult run_case(core::EngineChoice engine, const std::string& name,
   plan_options.pool = &pool;
   core::ExecOptions exec;
   exec.pool = &pool;
-  exec.workers = pool.size();  // SPMD executor only
 
   CaseResult result;
   result.engine = name;
@@ -162,7 +161,6 @@ StoreResult run_store_case(core::EngineChoice engine, const std::string& name,
   plan_options.pool = &pool;
   core::ExecOptions exec;
   exec.pool = &pool;
-  exec.workers = pool.size();  // SPMD executor only
 
   {
     core::PlanStore seed_store(store_dir);
@@ -318,7 +316,6 @@ int main(int argc, char** argv) {
   std::vector<CaseResult> rows;
   rows.push_back(run_case(core::EngineChoice::kJumping, "jumping", sys, init, repeats, pool));
   rows.push_back(run_case(core::EngineChoice::kBlocked, "blocked", sys, init, repeats, pool));
-  rows.push_back(run_case(core::EngineChoice::kSpmd, "spmd", sys, init, repeats, pool));
 
   // Warm start from an on-disk plan store: persist, "restart", solve K times
   // with zero compiles (the per-engine contract is enforced inside the leg).
@@ -332,8 +329,6 @@ int main(int argc, char** argv) {
       run_store_case(core::EngineChoice::kJumping, "jumping", sys, init, repeats, pool, store_dir));
   store_rows.push_back(
       run_store_case(core::EngineChoice::kBlocked, "blocked", sys, init, repeats, pool, store_dir));
-  store_rows.push_back(
-      run_store_case(core::EngineChoice::kSpmd, "spmd", sys, init, repeats, pool, store_dir));
   std::filesystem::remove_all(store_dir);
 
   // The chain fast route must beat log-depth jumping at n >= 100,000; smoke

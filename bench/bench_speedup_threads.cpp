@@ -100,21 +100,6 @@ BENCHMARK(BM_OrdinaryBlocked)
     ->Args({1000000, 2})
     ->Args({1000000, 4});
 
-void BM_OrdinarySpmd(benchmark::State& state) {
-  const OrdinaryFixture fx(static_cast<std::size_t>(state.range(0)));
-  const auto op = algebra::AddMonoid<std::uint64_t>{};
-  core::PlanOptions plan_options;
-  plan_options.engine = core::EngineChoice::kSpmd;
-  const core::Plan plan = core::compile_plan(fx.sys, plan_options);
-  core::ExecOptions exec;
-  exec.workers = static_cast<std::size_t>(state.range(1));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::execute_plan(plan, op, fx.init, exec));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_OrdinarySpmd)->Args({1000000, 2})->Args({1000000, 4});
-
 struct ChainFixture {
   std::vector<double> a, b;
 

@@ -9,10 +9,10 @@
 //     --trace=FILE      Chrome trace_event JSON (open in Perfetto or
 //                       chrome://tracing); one track per pool worker
 //     --engine=E        force the solver: auto (default), jumping, blocked,
-//                       spmd, scan (these need an ordinary-shaped system:
-//                       h = g, g injective; scan additionally needs the
-//                       chain structure f(i) = previous iteration), or
-//                       gir (CAP on anything)
+//                       scan (these need an ordinary-shaped system: h = g,
+//                       g injective; scan additionally needs the chain
+//                       structure f(i) = previous iteration), elementwise
+//                       (a recurrence-free system), or gir (CAP on anything)
 //     --repeat=K        solve K times through the Solver plan cache; the
 //                       schedule compiles once and is reused, and compile
 //                       vs execute time is reported separately
@@ -105,19 +105,19 @@ int usage() {
                "  irtool analyze <file>\n"
                "  irtool classify <file>\n"
                "  irtool solve <file> [mod] [--metrics=FILE] [--trace=FILE]\n"
-               "               [--engine={auto|jumping|blocked|spmd|scan|gir}]\n"
+               "               [--engine={auto|elementwise|jumping|blocked|scan|gir}]\n"
                "               [--repeat=K]\n"
                "               [--jobs=J]\n"
                "  irtool trace <file> <iteration>\n"
                "  irtool lint <file> [--json] [--cost] [--banks=B] [--crcw]\n"
-               "              [--engine={all|auto|jumping|blocked|spmd|scan|gir|"
-               "elementwise}]\n"
+               "              [--engine={all|auto|elementwise|jumping|blocked|scan|"
+               "gir}]\n"
                "  irtool audit <store-dir> [--json] [--banks=B] [--crcw]\n"
                "  irtool dot <file>\n"
                "  irtool lower <dsl-file>\n"
                "  irtool interchange <dsl-file> <a> <b>\n"
                "  irtool plan export <file> <store-dir>\n"
-               "              [--engine={auto|jumping|blocked|spmd|scan|gir}]\n"
+               "              [--engine={auto|elementwise|jumping|blocked|scan|gir}]\n"
                "  irtool plan import <plan-file> [<store-dir>]\n"
                "  irtool plan info <plan-file>\n"
                "\n"
@@ -221,22 +221,11 @@ int cmd_solve(const SolveFlags& flags) {
     obs::tracer().set_enabled(true);
   }
 
-  core::EngineChoice engine = core::EngineChoice::kAuto;
-  if (flags.engine == "jumping") {
-    engine = core::EngineChoice::kJumping;
-  } else if (flags.engine == "blocked") {
-    engine = core::EngineChoice::kBlocked;
-  } else if (flags.engine == "spmd") {
-    engine = core::EngineChoice::kSpmd;
-  } else if (flags.engine == "scan") {
-    engine = core::EngineChoice::kScan;
-  } else if (flags.engine == "gir") {
-    engine = core::EngineChoice::kGeneralCap;
-  } else if (flags.engine != "auto") {
-    return usage();
-  }
+  const auto parsed = core::engine_choice_from_name(flags.engine);
+  if (!parsed) return usage();
+  const core::EngineChoice engine = *parsed;
   if (engine == core::EngineChoice::kJumping || engine == core::EngineChoice::kBlocked ||
-      engine == core::EngineChoice::kSpmd || engine == core::EngineChoice::kScan) {
+      engine == core::EngineChoice::kScan) {
     // Friendlier message than compile_plan's for the common shape mistake.
     IR_REQUIRE(sys.h == sys.g,
                "--engine=" + flags.engine + " needs an ordinary-shaped system (h = g)");
@@ -291,9 +280,7 @@ int cmd_solve(const SolveFlags& flags) {
     plan_options.pool = &pool;
     core::ExecOptions exec;
     exec.pool = &pool;
-    exec.workers = pool.size();  // used only by the SPMD executor
-    if (engine == core::EngineChoice::kJumping || engine == core::EngineChoice::kSpmd ||
-        engine == core::EngineChoice::kScan) {
+    if (engine == core::EngineChoice::kJumping || engine == core::EngineChoice::kScan) {
       exec.ordinary_stats = &ord_stats;
       have_ord_stats = true;
     }
@@ -384,7 +371,7 @@ int cmd_solve(const SolveFlags& flags) {
 
 struct LintFlags {
   std::string path;
-  std::string engine = "all";  ///< all | auto | one forced engine
+  std::string engine = "all";  ///< all, or an engine_choice_from_name spelling
   bool json = false;
   bool cost = false;  ///< run the static cost & conflict analyzer per plan
   verify::CostOptions cost_options;
@@ -427,20 +414,18 @@ int cmd_lint(const LintFlags& flags) {
     core::EngineChoice choice;
   };
   std::vector<Leg> legs;
-  auto want = [&](const std::string& name) {
-    return flags.engine == "all" || flags.engine == name;
+  const auto only = core::engine_choice_from_name(flags.engine);  // nullopt = all
+  auto add = [&](const char* label, core::EngineChoice choice) {
+    if (!only || *only == choice) legs.push_back({label, choice});
   };
-  if (want("auto")) legs.push_back({"auto", core::EngineChoice::kAuto});
-  if (want("gir")) legs.push_back({"gir", core::EngineChoice::kGeneralCap});
+  add("auto", core::EngineChoice::kAuto);
+  add("gir", core::EngineChoice::kGeneralCap);
   if (ordinary_fits) {
-    if (want("jumping")) legs.push_back({"jumping", core::EngineChoice::kJumping});
-    if (want("blocked")) legs.push_back({"blocked", core::EngineChoice::kBlocked});
-    if (want("spmd")) legs.push_back({"spmd", core::EngineChoice::kSpmd});
-    if (chain_fits && want("scan")) legs.push_back({"scan", core::EngineChoice::kScan});
+    add("jumping", core::EngineChoice::kJumping);
+    add("blocked", core::EngineChoice::kBlocked);
+    if (chain_fits) add("scan", core::EngineChoice::kScan);
   }
-  if (report.dependences == 0 && want("elementwise")) {
-    legs.push_back({"elementwise", core::EngineChoice::kElementwise});
-  }
+  if (report.dependences == 0) add("elementwise", core::EngineChoice::kElementwise);
   if (legs.empty()) {
     std::fprintf(stderr,
                  "irtool lint: engine '%s' does not fit this system's shape "
@@ -609,24 +594,12 @@ int cmd_plan(int argc, char** argv) {
       }
     }
     if (path.empty() || store_dir.empty()) return usage();
-    core::EngineChoice engine = core::EngineChoice::kAuto;
-    if (engine_name == "jumping") {
-      engine = core::EngineChoice::kJumping;
-    } else if (engine_name == "blocked") {
-      engine = core::EngineChoice::kBlocked;
-    } else if (engine_name == "spmd") {
-      engine = core::EngineChoice::kSpmd;
-    } else if (engine_name == "scan") {
-      engine = core::EngineChoice::kScan;
-    } else if (engine_name == "gir") {
-      engine = core::EngineChoice::kGeneralCap;
-    } else if (engine_name != "auto") {
-      return usage();
-    }
+    const auto engine = core::engine_choice_from_name(engine_name);
+    if (!engine) return usage();
 
     const auto sys = load(path);
     core::PlanOptions options;
-    options.engine = engine;
+    options.engine = *engine;
     const core::Plan plan = core::compile_plan(sys, options);
     const core::PlanKeyWords key_words = core::plan_key_words(sys, options);
     core::PlanStore store(store_dir);
@@ -748,12 +721,9 @@ int main(int argc, char** argv) {
         }
       }
       if (!have_path) return usage();
-      const bool known_engine =
-          flags.engine == "all" || flags.engine == "auto" ||
-          flags.engine == "jumping" || flags.engine == "blocked" ||
-          flags.engine == "spmd" || flags.engine == "scan" ||
-          flags.engine == "gir" || flags.engine == "elementwise";
-      if (!known_engine) return usage();
+      if (flags.engine != "all" && !core::engine_choice_from_name(flags.engine)) {
+        return usage();
+      }
       return cmd_lint(flags);
     }
     if (command == "audit") {

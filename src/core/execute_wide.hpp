@@ -27,7 +27,7 @@
 // independent lanes.
 //
 // Engine notes:
-//   * jumping/spmd: double-buffered rounds over rows.  With a registered
+//   * jumping: double-buffered rounds over rows.  With a registered
 //     WideOps kernel a whole round is ONE dispatched call (jump_round);
 //     at K = 1 with a dense batch it degenerates further to one SIMD
 //     gather.  The generic path keeps per-move row ⊙s with software
@@ -137,7 +137,7 @@ inline std::vector<std::uint32_t> to_cell_space(
   return cells;
 }
 
-/// The jumping/SPMD schedules, row-wise in cell space: double-buffered
+/// The jumping schedule, row-wise in cell space: double-buffered
 /// rounds exactly like the scalar executor.  Registered WideOps run one
 /// kernel call per round (and at K = 1 one whole-round SIMD gather); the
 /// generic path keeps per-move row ⊙s with software prefetch of upcoming
@@ -291,7 +291,6 @@ BatchView<typename Op::Value> execute_wide(const Plan& plan, const Op& op,
     case PlanEngine::kElementwise:
       return detail::wide_execute_elementwise(op, plan, batch);
     case PlanEngine::kJumping:
-    case PlanEngine::kSpmd:
       batch = detail::wide_execute_jump(op, plan, std::move(batch));
       detail::record_exec_stats(plan, exec);
       return batch;

@@ -63,8 +63,8 @@ std::vector<double> moebius_ir_run(const Plan& plan,
                                    std::vector<double> x, const ExecOptions& exec) {
   IR_SPAN("moebius.solve");
   IR_REQUIRE(plan.engine == PlanEngine::kJumping || plan.engine == PlanEngine::kBlocked ||
-                 plan.engine == PlanEngine::kSpmd || plan.engine == PlanEngine::kScan,
-             "moebius_ir_run needs an ordinary-engine plan (jumping, blocked, SPMD or scan)");
+                 plan.engine == PlanEngine::kScan,
+             "moebius_ir_run needs an ordinary-engine plan (jumping, blocked or scan)");
   IR_REQUIRE(x.size() == plan.cells, "initial array must have `cells` entries");
   IR_REQUIRE(iteration_maps.size() == plan.iterations,
              "need exactly one map per iteration");

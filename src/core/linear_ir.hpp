@@ -88,8 +88,8 @@ std::vector<double> moebius_ir_run(const OrdinaryIrSystem& sys,
                                    std::vector<double> x,
                                    const OrdinaryIrOptions& options = {});
 
-/// Plan-based variant: run a precompiled ordinary plan (jumping, blocked,
-/// SPMD or scan) over the coefficient maps.  The maps seed the plan's trace
+/// Plan-based variant: run a precompiled ordinary plan (jumping, blocked or
+/// scan) over the coefficient maps.  The maps seed the plan's trace
 /// array (replay_traces in plan.hpp), so this touches no index maps beyond
 /// the plan's own tables — callers timing repeated solves should compile
 /// once and call this in the loop.

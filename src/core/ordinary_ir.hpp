@@ -18,8 +18,8 @@
 // equation.  Operand order is preserved, so ⊙ may be non-commutative.
 //
 // compile_plan (plan.hpp) records the pred forest as a schedule — jumping
-// rounds, a blocked partition, an SPMD team's rounds, or the kScan fold for
-// pure f(i) = i-1 chains — and execute_plan replays it over a trace array
+// rounds, a blocked partition, or the kScan fold for pure f(i) = i-1
+// chains — and execute_plan replays it over a trace array
 // seeded with W(root) and S[g(i)].  This header keeps the loop itself, the
 // oracle every one of those routes is checked against.
 #pragma once

@@ -14,11 +14,20 @@ std::string to_string(PlanEngine engine) {
     case PlanEngine::kElementwise: return "elementwise";
     case PlanEngine::kJumping: return "jumping";
     case PlanEngine::kBlocked: return "blocked";
-    case PlanEngine::kSpmd: return "spmd";
     case PlanEngine::kGeneralCap: return "gir-cap";
     case PlanEngine::kScan: return "scan";
   }
   return "?";
+}
+
+std::optional<EngineChoice> engine_choice_from_name(std::string_view name) {
+  if (name == "auto") return EngineChoice::kAuto;
+  if (name == "elementwise") return EngineChoice::kElementwise;
+  if (name == "jumping") return EngineChoice::kJumping;
+  if (name == "blocked") return EngineChoice::kBlocked;
+  if (name == "scan") return EngineChoice::kScan;
+  if (name == "gir") return EngineChoice::kGeneralCap;
+  return std::nullopt;
 }
 
 const char* to_string(ExecVariant variant) {
@@ -35,7 +44,6 @@ std::string Plan::describe() const {
                     " m=" + std::to_string(cells);
   switch (engine) {
     case PlanEngine::kJumping:
-    case PlanEngine::kSpmd:
       out += ", " + std::to_string(jump.rounds()) + " rounds, " +
              std::to_string(jump.moves()) + " moves, peak " +
              std::to_string(jump.peak_active);
@@ -72,7 +80,6 @@ void record_exec_stats(const Plan& plan, const ExecOptions& exec) {
   OrdinaryIrStats stats;
   switch (plan.engine) {
     case PlanEngine::kJumping:
-    case PlanEngine::kSpmd:
       stats = {plan.jump.rounds(), plan.jump.seed_ops + plan.jump.moves(),
                plan.jump.peak_active};
       break;
@@ -322,15 +329,16 @@ namespace {
 /// The routes a cache key distinguishes.  kAuto ordinary stays its own class
 /// (the blocked-vs-jumping decision is made at compile time from the block
 /// hint and threshold, so both must stay in the key), while a forced engine
-/// collapses to exactly the knobs its schedule reads.
+/// collapses to exactly the knobs its schedule reads.  The values are
+/// recorded in .irplan headers and mixed into every store key, so they must
+/// never be renumbered; 4 is retired.
 enum class KeyRoute : std::uint64_t {
   kElementwise = 1,
-  kJumping,
-  kBlocked,
-  kSpmd,
-  kAutoOrdinary,
-  kGeneralCap,
-  kScan,
+  kJumping = 2,
+  kBlocked = 3,
+  kAutoOrdinary = 5,
+  kGeneralCap = 6,
+  kScan = 7,
 };
 
 /// Resolve which engine family compile_plan would pick for (sys, options),
@@ -341,7 +349,6 @@ KeyRoute resolve_key_route(const GeneralIrSystem& sys, const PlanOptions& option
     case EngineChoice::kElementwise: return KeyRoute::kElementwise;
     case EngineChoice::kJumping: return KeyRoute::kJumping;
     case EngineChoice::kBlocked: return KeyRoute::kBlocked;
-    case EngineChoice::kSpmd: return KeyRoute::kSpmd;
     case EngineChoice::kGeneralCap: return KeyRoute::kGeneralCap;
     case EngineChoice::kScan: return KeyRoute::kScan;
     case EngineChoice::kAuto: break;
@@ -384,7 +391,6 @@ PlanKeyWords plan_key_words(const GeneralIrSystem& sys, const PlanOptions& optio
   switch (route) {
     case KeyRoute::kElementwise:
     case KeyRoute::kJumping:
-    case KeyRoute::kSpmd:
     case KeyRoute::kScan:
       break;  // schedule depends on the system content alone
     case KeyRoute::kBlocked:
@@ -518,7 +524,6 @@ Plan compile_plan(const GeneralIrSystem& sys, const PlanOptions& options) {
 
     case EngineChoice::kJumping:
     case EngineChoice::kBlocked:
-    case EngineChoice::kSpmd:
     case EngineChoice::kScan: {
       IR_REQUIRE(sys.h == sys.g && plan.report.repeated_writes == 0,
                  "ordinary engines need an ordinary-shaped system (h = g, g injective)");
@@ -538,8 +543,7 @@ Plan compile_plan(const GeneralIrSystem& sys, const PlanOptions& options) {
                                 : (options.pool != nullptr ? options.pool->size() : 1);
         plan.blocked = build_blocked_schedule(forest, want_blocks);
       } else {
-        plan.engine = choice == EngineChoice::kSpmd ? PlanEngine::kSpmd
-                                                    : PlanEngine::kJumping;
+        plan.engine = PlanEngine::kJumping;
         plan.jump = build_jump_schedule(forest);
       }
       break;

@@ -26,9 +26,10 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -42,7 +43,6 @@
 #include "core/serialize.hpp"
 #include "obs/telemetry.hpp"
 #include "parallel/parallel_for.hpp"
-#include "parallel/spmd.hpp"
 #include "scan/segmented_scan.hpp"
 #include "support/bigint.hpp"
 #include "support/contract.hpp"
@@ -56,7 +56,17 @@ inline constexpr std::uint32_t kNoIndex32 = 0xFFFFFFFFu;
 /// ordinary-shaped systems whose pred forest is pure f(i) = i-1 chains are
 /// detected at compile time and replayed as an O(n) sequential segmented
 /// scan (src/scan/) instead of O(n log n) pointer jumping.
-enum class PlanEngine { kElementwise, kJumping, kBlocked, kSpmd, kGeneralCap, kScan };
+///
+/// The values are the engine ids of the .irplan format (core/plan_io.hpp)
+/// and must never be renumbered.  Id 3 is retired (its jump schedule is
+/// replayed by kJumping), and the plan-file loader rejects it with a reason.
+enum class PlanEngine : std::uint32_t {
+  kElementwise = 0,
+  kJumping = 1,
+  kBlocked = 2,
+  kGeneralCap = 4,
+  kScan = 5,
+};
 
 [[nodiscard]] std::string to_string(PlanEngine engine);
 
@@ -65,9 +75,12 @@ enum class PlanEngine { kElementwise, kJumping, kBlocked, kSpmd, kGeneralCap, kS
 /// chain-structured ordinary systems take the kScan fast route.
 /// The rest force one engine (the ordinary engines require h = g with
 /// injective g; kScan additionally requires the chain structure).
-enum class EngineChoice {
-  kAuto, kElementwise, kJumping, kBlocked, kSpmd, kGeneralCap, kScan
-};
+enum class EngineChoice { kAuto, kElementwise, kJumping, kBlocked, kGeneralCap, kScan };
+
+/// The one engine-name table of every user-facing surface (irtool's
+/// --engine, the service's engine= attribute): auto, elementwise, jumping,
+/// blocked, scan, gir.  Nullopt for any other spelling.
+[[nodiscard]] std::optional<EngineChoice> engine_choice_from_name(std::string_view name);
 
 /// Structure-side options: everything here is resolved at compile time and
 /// baked into the plan (the pool pointer itself is only a sizing hint — it
@@ -116,8 +129,7 @@ enum class ExecVariant { kAuto, kScalar, kWide };
 /// runs, never *what* it computes.
 struct ExecOptions {
   parallel::ThreadPool* pool = nullptr;  ///< jumping/blocked/elementwise/GIR phases
-  std::size_t processor_cap = 0;         ///< jumping fork cap (0 = pool size)
-  std::size_t workers = 0;               ///< SPMD persistent workers (0 = 1)
+  std::size_t processor_cap = 0;         ///< jumping slices per phase (0 = pool size)
   ExecVariant variant = ExecVariant::kAuto;   ///< batch executor selection
   OrdinaryIrStats* ordinary_stats = nullptr;  ///< filled for every ordinary-engine plan
   BlockedIrStats* blocked_stats = nullptr;    ///< filled for blocked plans
@@ -126,8 +138,8 @@ struct ExecOptions {
 /// Precomputed pointer-jumping schedule: move k of round r is
 /// val[dst[k]] = val[src[k]] ⊙ val[dst[k]], with the round's moves in
 /// [round_begin[r], round_begin[r+1]).  Reads of a round all precede its
-/// writes (the executor double-buffers), so the recorded order is exactly
-/// the synchronous-PRAM round structure.
+/// writes (the executor double-buffers and joins between the two phases),
+/// so the recorded order is exactly the synchronous-PRAM round structure.
 struct JumpSchedule {
   PlanTable<std::uint32_t> dst;
   PlanTable<std::uint32_t> src;
@@ -225,7 +237,7 @@ struct Plan {
   /// describe(), `irtool lint --json`, and distinguished by plan_cache_key.
   bool chain = false;
 
-  JumpSchedule jump;                ///< kJumping and kSpmd
+  JumpSchedule jump;                ///< kJumping
   BlockedSchedule blocked;          ///< kBlocked
   ScanSchedule scan;                ///< kScan
   ElementwiseSchedule elementwise;  ///< kElementwise
@@ -333,7 +345,7 @@ bool prefer_blocked(const GeneralIrSystem& sys, std::size_t blocks, double thres
 /// Fill exec's stats sinks for an ordinary-engine plan.  Every figure is a
 /// property of the schedule, so the scalar and wide executors report the
 /// same numbers; op_applications counts the root seeds plus the replayed ⊙s
-/// (seed_ops + moves for jumping and SPMD alike).  A blocked plan fills
+/// (seed_ops + moves for jumping).  A blocked plan fills
 /// blocked_stats and also sums itself up in ordinary_stats (rounds = its
 /// fix-up steps, peak_active = its block count), so a caller holding only
 /// OrdinaryIrStats sees every ordinary engine.
@@ -351,6 +363,24 @@ void size_scratch(std::vector<Value>& scratch, std::size_t width,
   }
 }
 
+/// Run body(slice) over [0, n) split into at most `cap` contiguous slices
+/// (pool size when 0): one pool task per slice, joined before returning, or
+/// one plain loop on the caller without a pool.  Each body is a plain loop
+/// over its slice, so the per-element ⊙ is inlined rather than called
+/// through a std::function.
+template <typename Body>
+void run_slices(parallel::ThreadPool* pool, std::size_t n, std::size_t cap, const Body& body) {
+  if (pool == nullptr) {
+    if (n != 0) body(parallel::Block{0, n, 0});
+    return;
+  }
+  parallel::parallel_for_blocks(*pool, n, cap != 0 ? cap : pool->size(), body);
+}
+
+/// The one executor of a JumpSchedule: ⌈log n⌉ synchronous rounds, each a
+/// read phase into a side buffer and then a write phase, both forked over at
+/// most processor_cap slices (pool size when 0) — the paper's T(n, P) =
+/// (n/P)·log n schedule.  The join after each phase is the round barrier.
 template <algebra::BinaryOperation Op>
 void replay_jumping(const Op& op, const Plan& plan, std::vector<typename Op::Value>& val,
                     const ExecOptions& exec) {
@@ -358,30 +388,26 @@ void replay_jumping(const Op& op, const Plan& plan, std::vector<typename Op::Val
   IR_SPAN("ordinary.solve");
   const JumpSchedule& js = plan.jump;
 
-  auto run_indexed = [&](std::size_t count, const std::function<void(std::size_t)>& body) {
-    if (exec.pool != nullptr) {
-      const std::size_t cap =
-          exec.processor_cap != 0 ? exec.processor_cap : exec.pool->size();
-      parallel::parallel_for_capped(*exec.pool, count, cap, body);
-    } else {
-      for (std::size_t k = 0; k < count; ++k) body(k);
-    }
-  };
-
   std::vector<Value> new_val;
   for (std::size_t r = 0; r < js.rounds(); ++r) {
     IR_SPAN("ordinary.round");
     const auto [begin, round_end] = js.round_span(r);
     const std::size_t width = round_end - begin;
     IR_HISTOGRAM("ordinary.active_width", width);
+    const std::uint32_t* dst = js.dst.data() + begin;
+    const std::uint32_t* src = js.src.data() + begin;
     // Read phase into the side buffer, then write phase: the synchronous
     // PRAM step, with the active set a precompiled slice of the schedule.
     size_scratch(new_val, width, val);
-    run_indexed(width, [&](std::size_t k) {
-      new_val[k] = op.combine(val[js.src[begin + k]], val[js.dst[begin + k]]);
+    run_slices(exec.pool, width, exec.processor_cap, [&](const parallel::Block& slice) {
+      for (std::size_t k = slice.begin; k < slice.end; ++k) {
+        new_val[k] = op.combine(val[src[k]], val[dst[k]]);
+      }
     });
-    run_indexed(width, [&](std::size_t k) {
-      val[js.dst[begin + k]] = std::move(new_val[k]);
+    run_slices(exec.pool, width, exec.processor_cap, [&](const parallel::Block& slice) {
+      for (std::size_t k = slice.begin; k < slice.end; ++k) {
+        val[dst[k]] = std::move(new_val[k]);
+      }
     });
   }
 
@@ -419,17 +445,14 @@ void replay_blocked(const Op& op, const Plan& plan, std::vector<typename Op::Val
   IR_SPAN("blocked.phase2");
   for (std::size_t b = 0; b < bs.blocks.size(); ++b) {
     const auto [begin, fix_end] = bs.fix_span(b);
-    const std::size_t count = fix_end - begin;
-    if (count == 0) continue;
-    auto resolve = [&](std::size_t k) {
-      const std::uint32_t i = bs.fix_dst[begin + k];
-      val[i] = op.combine(val[bs.fix_src[begin + k]], val[i]);
-    };
-    if (exec.pool != nullptr) {
-      parallel::parallel_for(*exec.pool, count, resolve);
-    } else {
-      for (std::size_t k = 0; k < count; ++k) resolve(k);
-    }
+    if (fix_end == begin) continue;
+    const std::uint32_t* dst = bs.fix_dst.data() + begin;
+    const std::uint32_t* src = bs.fix_src.data() + begin;
+    run_slices(exec.pool, fix_end - begin, 0, [&](const parallel::Block& slice) {
+      for (std::size_t k = slice.begin; k < slice.end; ++k) {
+        val[dst[k]] = op.combine(val[src[k]], val[dst[k]]);
+      }
+    });
   }
 
   IR_COUNTER_ADD("blocked.solves", 1);
@@ -453,48 +476,9 @@ void replay_scan(const Op& op, const Plan& plan, std::vector<typename Op::Value>
   IR_GAUGE_MAX("scan.longest_segment", plan.scan.longest);
 }
 
-template <algebra::BinaryOperation Op>
-void replay_spmd(const Op& op, const Plan& plan, std::vector<typename Op::Value>& val,
-                 const ExecOptions& exec) {
-  using Value = typename Op::Value;
-  const JumpSchedule& js = plan.jump;
-  if (js.rounds() > 0) {
-    const std::size_t workers = exec.workers != 0 ? exec.workers : 1;
-    std::vector<Value> new_val;
-    size_scratch(new_val, js.peak_active, val);
-    parallel::run_spmd(workers, [&](parallel::SpmdContext& ctx) {
-      IR_SET_THREAD_NAME("spmd-worker-" + std::to_string(ctx.worker()));
-      IR_SPAN("spmd.worker");
-      // The round count is fixed by the schedule, so no convergence voting
-      // is needed; a throwing op simply drops this worker from the barrier
-      // (run_spmd's arrive_and_drop) and rethrows after the join.
-      for (std::size_t r = 0; r < js.rounds(); ++r) {
-        IR_SPAN("spmd.round");
-        const auto [round_begin, round_end] = js.round_span(r);
-        const std::size_t width = round_end - round_begin;
-        const auto [wb, we] = ctx.slice(width);
-        for (std::size_t k = wb; k < we; ++k) {
-          new_val[k] =
-              op.combine(val[js.src[round_begin + k]], val[js.dst[round_begin + k]]);
-        }
-        ctx.barrier();
-        for (std::size_t k = wb; k < we; ++k) {
-          val[js.dst[round_begin + k]] = std::move(new_val[k]);
-        }
-        ctx.barrier();
-      }
-    });
-  }
-
-  IR_COUNTER_ADD("spmd.solves", 1);
-  IR_COUNTER_ADD("spmd.rounds", js.rounds());
-  IR_COUNTER_ADD("spmd.op_applications", js.seed_ops + js.moves());
-  IR_GAUGE_MAX("spmd.peak_active", js.peak_active);
-}
-
 }  // namespace detail
 
-/// Replay an ordinary-engine plan (jumping, blocked, SPMD or scan) over a
+/// Replay an ordinary-engine plan (jumping, blocked or scan) over a
 /// per-iteration trace array the caller seeded.  On entry traces[i] holds
 /// iteration i's self operand, with a chain root's untouched cell already
 /// folded in front of it:
@@ -513,9 +497,6 @@ void replay_traces(const Plan& plan, const Op& op, std::vector<typename Op::Valu
       break;
     case PlanEngine::kBlocked:
       detail::replay_blocked(op, plan, traces, exec);
-      break;
-    case PlanEngine::kSpmd:
-      detail::replay_spmd(op, plan, traces, exec);
       break;
     case PlanEngine::kScan:
       detail::replay_scan(op, plan, traces);
@@ -556,7 +537,6 @@ std::vector<typename Op::Value> execute_plan(const Plan& plan, const Op& op,
 
     case PlanEngine::kJumping:
     case PlanEngine::kBlocked:
-    case PlanEngine::kSpmd:
     case PlanEngine::kScan: {
       // g is injective on these routes, so iteration i's self operand is
       // cell write_cell[i]'s initial value, and each written cell has one
@@ -641,8 +621,7 @@ BatchView<typename Op::Value> execute_wide(const Plan& plan, const Op& op,
 /// Amortize one plan across K initial-value arrays (row-of-rows shape).
 /// Variant selection: kWide transposes into a BatchView and runs the wide
 /// executor; kAuto/kScalar keep the legacy per-lane path — with a pool, the
-/// K solves run as one parallel_for with serial inner executes (SPMD plans
-/// keep their own worker teams and run the batch serially instead).
+/// K solves run as one parallel_for with serial inner executes.
 /// Batch-first callers should prefer the BatchView overload in
 /// execute_wide.hpp, which skips both transposes.
 template <algebra::BinaryOperation Op>
@@ -655,7 +634,7 @@ std::vector<std::vector<typename Op::Value>> execute_many(
     return execute_wide(plan, op, std::move(batch), exec).to_rows();
   }
   std::vector<std::vector<typename Op::Value>> results(initials.size());
-  if (plan.engine == PlanEngine::kSpmd || exec.pool == nullptr) {
+  if (exec.pool == nullptr) {
     for (std::size_t k = 0; k < initials.size(); ++k) {
       results[k] = execute_plan(plan, op, std::move(initials[k]), exec);
     }

@@ -282,6 +282,17 @@ namespace {
 // Reader
 // ---------------------------------------------------------------------------
 
+/// The header's engine field stores the PlanEngine value, so the surviving
+/// ids are pinned here.  Id 3 was the spmd engine: it replayed the same jump
+/// schedule as jumping and was retired, so files carrying it are rejected by
+/// name and the plan is recompiled by whoever asked for it.
+static_assert(static_cast<std::uint32_t>(PlanEngine::kElementwise) == 0);
+static_assert(static_cast<std::uint32_t>(PlanEngine::kJumping) == 1);
+static_assert(static_cast<std::uint32_t>(PlanEngine::kBlocked) == 2);
+static_assert(static_cast<std::uint32_t>(PlanEngine::kGeneralCap) == 4);
+static_assert(static_cast<std::uint32_t>(PlanEngine::kScan) == 5);
+constexpr std::uint32_t kRetiredSpmdEngineId = 3;
+
 /// Header + bounds + checksum gate.  Everything here runs before any table
 /// pointer is formed, so a hostile file cannot steer a single read outside
 /// [data, data+size).
@@ -305,6 +316,10 @@ PlanFileHeader validate_structure(const unsigned char* data, std::size_t size) {
   if (header.word_bytes != sizeof(std::size_t)) {
     reject("word size " + std::to_string(header.word_bytes) + " bytes, platform has " +
            std::to_string(sizeof(std::size_t)));
+  }
+  if (header.engine == kRetiredSpmdEngineId) {
+    reject("engine id 3 is the retired spmd engine; re-export the plan (jumping "
+           "replays the same schedule)");
   }
   if (header.engine > static_cast<std::uint32_t>(PlanEngine::kScan)) {
     reject("unknown engine id " + std::to_string(header.engine));

@@ -23,12 +23,13 @@ std::vector<Block> partition_blocks(std::size_t n, std::size_t parts) {
   return blocks;
 }
 
-void parallel_for_blocks(ThreadPool& pool, std::size_t n,
+void parallel_for_blocks(ThreadPool& pool, std::size_t n, std::size_t max_blocks,
                          const std::function<void(const Block&)>& body) {
+  IR_REQUIRE(max_blocks >= 1, "worker cap must be at least one");
   IR_SPAN("parallel.for");
   IR_COUNTER_ADD("parallel.for_calls", 1);
   IR_COUNTER_ADD("parallel.for_items", n);
-  const auto blocks = partition_blocks(n, pool.size());
+  const auto blocks = partition_blocks(n, max_blocks);
   if (blocks.size() <= 1) {
     for (const auto& block : blocks) body(block);
     return;
@@ -43,31 +44,9 @@ void parallel_for_blocks(ThreadPool& pool, std::size_t n,
 
 void parallel_for(ThreadPool& pool, std::size_t n,
                   const std::function<void(std::size_t)>& body) {
-  parallel_for_blocks(pool, n, [&body](const Block& block) {
+  parallel_for_blocks(pool, n, pool.size(), [&body](const Block& block) {
     for (std::size_t i = block.begin; i < block.end; ++i) body(i);
   });
-}
-
-void parallel_for_capped(ThreadPool& pool, std::size_t n, std::size_t max_workers,
-                         const std::function<void(std::size_t)>& body) {
-  IR_REQUIRE(max_workers >= 1, "worker cap must be at least one");
-  IR_SPAN("parallel.for");
-  IR_COUNTER_ADD("parallel.for_calls", 1);
-  IR_COUNTER_ADD("parallel.for_items", n);
-  const auto blocks = partition_blocks(n, max_workers);
-  if (blocks.size() <= 1) {
-    for (const auto& block : blocks)
-      for (std::size_t i = block.begin; i < block.end; ++i) body(i);
-    return;
-  }
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(blocks.size());
-  for (const auto& block : blocks) {
-    tasks.emplace_back([&body, block] {
-      for (std::size_t i = block.begin; i < block.end; ++i) body(i);
-    });
-  }
-  pool.run_batch(std::move(tasks));
 }
 
 }  // namespace ir::parallel

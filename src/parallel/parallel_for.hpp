@@ -1,12 +1,15 @@
-// Blocked parallel-for and barrier-separated SPMD rounds over a thread pool.
+// Blocked fork/join rounds over a thread pool.
 //
-// These are the two execution shapes the paper's algorithms need on a real
-// machine:
-//   * parallel_for      — one round over [0, n): block-partitioned, joined.
-//   * SpmdRounds        — a sequence of rounds where every round must be
-//                         globally complete before the next begins (the
-//                         synchronous-step structure of pointer jumping and
-//                         of CAP closure).
+// One round over [0, n) is split into contiguous slices, one pool task per
+// slice, and joined before the call returns.  That join is what gives the
+// paper's synchronous-step structure on a real machine: a caller that needs
+// round t globally complete before round t+1 (pointer jumping, CAP closure)
+// simply issues one call per phase.
+//   * parallel_for_blocks — the block-level primitive: body(block) once per
+//                           slice, at most `max_blocks` slices.  This is the
+//                           paper's "fork only up to P processes" schedule.
+//   * parallel_for        — the per-item wrapper: body(i) for every i, one
+//                           slice per pool thread.
 //
 // Double buffering replaces the PRAM's buffered-write semantics: callers
 // read round t's input array and write round t's output array, then swap.
@@ -30,19 +33,15 @@ struct Block {
 /// Split [0, n) into at most `parts` contiguous blocks of near-equal size.
 std::vector<Block> partition_blocks(std::size_t n, std::size_t parts);
 
+/// Run body(block) once per block of partition_blocks(n, max_blocks): one
+/// pool task per block, joined before returning (a single block runs on the
+/// caller).  Task exceptions propagate as ThreadPool::run_batch rethrows them.
+void parallel_for_blocks(ThreadPool& pool, std::size_t n, std::size_t max_blocks,
+                         const std::function<void(const Block&)>& body);
+
 /// Run body(i) for all i in [0, n) using at most `pool.size()` workers.
 /// `body` must be safe to invoke concurrently for distinct i.
 void parallel_for(ThreadPool& pool, std::size_t n,
                   const std::function<void(std::size_t)>& body);
-
-/// Run body(block) once per block; useful when per-worker state matters.
-void parallel_for_blocks(ThreadPool& pool, std::size_t n,
-                         const std::function<void(const Block&)>& body);
-
-/// Run body(i) with an explicit cap on logical parallelism: items are grouped
-/// into at most `max_workers` blocks regardless of pool size.  This is the
-/// paper's "fork only up to P processes" schedule.
-void parallel_for_capped(ThreadPool& pool, std::size_t n, std::size_t max_workers,
-                         const std::function<void(std::size_t)>& body);
 
 }  // namespace ir::parallel

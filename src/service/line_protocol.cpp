@@ -6,15 +6,6 @@
 
 namespace ir::service::line_protocol {
 
-std::optional<core::EngineChoice> engine_from_name(const std::string& name) {
-  if (name == "auto") return core::EngineChoice::kAuto;
-  if (name == "jumping") return core::EngineChoice::kJumping;
-  if (name == "blocked") return core::EngineChoice::kBlocked;
-  if (name == "spmd") return core::EngineChoice::kSpmd;
-  if (name == "gir") return core::EngineChoice::kGeneralCap;
-  return std::nullopt;
-}
-
 std::vector<Value> default_initial(std::size_t cells) {
   std::vector<Value> initial(cells);
   for (std::size_t c = 0; c < cells; ++c) {
@@ -145,7 +136,7 @@ bool apply_solve_attr(const std::string& key, const std::string& value,
     return true;
   }
   if (key == "engine") {
-    if (const auto choice = engine_from_name(value)) {
+    if (const auto choice = core::engine_choice_from_name(value)) {
       args->plan.engine = *choice;
       return true;
     }

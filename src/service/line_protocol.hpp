@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -24,10 +23,6 @@ namespace ir::service::line_protocol {
 
 using Value = std::uint64_t;
 using Response = BasicResponse<Value>;
-
-/// Engine attribute vocabulary of the solve command.
-[[nodiscard]] std::optional<core::EngineChoice> engine_from_name(
-    const std::string& name);
 
 /// The default initial array when values=inline is absent: 1 + cell mod 97,
 /// matching `irtool solve`.

@@ -176,9 +176,6 @@ struct ServiceConfig {
   /// 0 = no pool (serial inner execute, parallelism across dispatchers only).
   std::size_t exec_threads = 0;
 
-  /// ExecOptions::workers for SPMD plans (0 = 1).
-  std::size_t spmd_workers = 0;
-
   /// Route coalesced batches (2+ requests) through the wide SoA executor
   /// (core/execute_wide.hpp): the batch is transposed once and all lanes run
   /// the schedule in lockstep, which vectorizes the jump-round gathers.

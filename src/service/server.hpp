@@ -241,7 +241,6 @@ class Server {
     try {
       core::ExecOptions exec;
       exec.pool = pool;
-      exec.workers = config_.spmd_workers;
       exec.variant = wide ? core::ExecVariant::kWide : core::ExecVariant::kScalar;
       outputs = core::execute_many(*plan, op_, std::move(initials), exec);
     } catch (const std::exception& e) {

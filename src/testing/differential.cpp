@@ -99,13 +99,12 @@ template <typename Op, typename System>
 void check_wide_leg(DifferentialReport& report, const std::string& label,
                     const System& sys, const Op& op, const PlanOptions& plan_options,
                     const std::vector<std::vector<typename Op::Value>>& rows,
-                    const std::vector<std::vector<typename Op::Value>>& expected,
-                    const ExecOptions& exec = {}) {
+                    const std::vector<std::vector<typename Op::Value>>& expected) {
   ++report.engines_run;
   try {
     const core::Plan plan = core::compile_plan(sys, plan_options);
     auto batch = core::BatchView<typename Op::Value>::from_rows(rows, sys.cells);
-    const auto wide = core::execute_wide(plan, op, std::move(batch), exec);
+    const auto wide = core::execute_wide(plan, op, std::move(batch));
     for (std::size_t lane = 0; lane < rows.size(); ++lane) {
       for (std::size_t c = 0; c < sys.cells; ++c) {
         if (wide.at(c, lane) != expected[lane][c]) {
@@ -143,8 +142,7 @@ void check_plan_io_leg(DifferentialReport& report, const std::string& label,
                        const System& sys, const Op& op,
                        const PlanOptions& plan_options,
                        const std::vector<typename Op::Value>& init,
-                       const std::vector<typename Op::Value>& expected,
-                       const ExecOptions& exec = {}) {
+                       const std::vector<typename Op::Value>& expected) {
   ++report.engines_run;
   try {
     const core::Plan plan = core::compile_plan(sys, plan_options);
@@ -160,7 +158,7 @@ void check_plan_io_leg(DifferentialReport& report, const std::string& label,
       report.mismatches.push_back(label + ":identity-drift");
       return;
     }
-    if (core::execute_plan(*loaded.plan, op, init, exec) != expected) {
+    if (core::execute_plan(*loaded.plan, op, init) != expected) {
       report.mismatches.push_back(label);
     }
   } catch (const std::exception& e) {
@@ -372,15 +370,12 @@ DifferentialReport run_differential(const GeneralIrSystem& sys,
     // below cover the fork/join paths.
     for (const auto& [engine, label] :
          {std::pair{EngineChoice::kJumping, "plan-jumping"},
-          std::pair{EngineChoice::kBlocked, "plan-blocked"},
-          std::pair{EngineChoice::kSpmd, "plan-spmd"}}) {
+          std::pair{EngineChoice::kBlocked, "plan-blocked"}}) {
       check_leg(report, label, oracle, [&, engine = engine] {
         PlanOptions plan_options;
         plan_options.engine = engine;
         plan_options.blocks = options.blocks;
-        ExecOptions exec;
-        exec.workers = options.spmd_workers;
-        return core::execute_plan(core::compile_plan(ord, plan_options), op, init, exec);
+        return core::execute_plan(core::compile_plan(ord, plan_options), op, init);
       });
     }
     if (options.pool != nullptr) {
@@ -401,27 +396,21 @@ DifferentialReport run_differential(const GeneralIrSystem& sys,
     // Every forced ordinary engine again, through the binary plan format.
     for (const auto& [engine, label] :
          {std::pair{EngineChoice::kJumping, "planio-jumping"},
-          std::pair{EngineChoice::kBlocked, "planio-blocked"},
-          std::pair{EngineChoice::kSpmd, "planio-spmd"}}) {
+          std::pair{EngineChoice::kBlocked, "planio-blocked"}}) {
       PlanOptions plan_options;
       plan_options.engine = engine;
       plan_options.blocks = options.blocks;
-      ExecOptions exec;
-      exec.workers = options.spmd_workers;
-      check_plan_io_leg(report, label, ord, op, plan_options, init, oracle, exec);
+      check_plan_io_leg(report, label, ord, op, plan_options, init, oracle);
     }
 
     // Every forced ordinary engine again, through the wide executor.
     for (const auto& [engine, label] :
          {std::pair{EngineChoice::kJumping, "wide-jumping"},
-          std::pair{EngineChoice::kBlocked, "wide-blocked"},
-          std::pair{EngineChoice::kSpmd, "wide-spmd"}}) {
+          std::pair{EngineChoice::kBlocked, "wide-blocked"}}) {
       PlanOptions plan_options;
       plan_options.engine = engine;
       plan_options.blocks = options.blocks;
-      ExecOptions exec;
-      exec.workers = options.spmd_workers;
-      check_wide_leg(report, label, ord, op, plan_options, lane_rows, lane_oracle, exec);
+      check_wide_leg(report, label, ord, op, plan_options, lane_rows, lane_oracle);
     }
 
     // Chain-structured systems additionally pin the O(n) scan fast route,
@@ -450,8 +439,7 @@ DifferentialReport run_differential(const GeneralIrSystem& sys,
     if (options.verify_plans) {
       for (const auto& [engine, label] :
            {std::pair{EngineChoice::kJumping, "verify-jumping"},
-            std::pair{EngineChoice::kBlocked, "verify-blocked"},
-            std::pair{EngineChoice::kSpmd, "verify-spmd"}}) {
+            std::pair{EngineChoice::kBlocked, "verify-blocked"}}) {
         PlanOptions plan_options;
         plan_options.engine = engine;
         plan_options.blocks = options.blocks;
@@ -468,14 +456,21 @@ DifferentialReport run_differential(const GeneralIrSystem& sys,
       if (options.corrupt_oracle && sys.iterations() > 0) coracle[sys.g[0]] += '!';
       std::vector<std::pair<EngineChoice, const char*>> concat_engines = {
           {EngineChoice::kJumping, "concat-jumping"},
-          {EngineChoice::kBlocked, "concat-blocked"},
-          {EngineChoice::kSpmd, "concat-spmd"}};
+          {EngineChoice::kBlocked, "concat-blocked"}};
       if (chain) concat_engines.emplace_back(EngineChoice::kScan, "concat-scan");
       for (const auto& [engine, label] : concat_engines) {
         check_leg(report, label, coracle, [&, engine = engine] {
           const PlanOptions plan_options{.engine = engine, .blocks = options.blocks};
-          return core::execute_plan(core::compile_plan(ord, plan_options), cat, cinit,
-                                    {.workers = options.spmd_workers});
+          return core::execute_plan(core::compile_plan(ord, plan_options), cat, cinit);
+        });
+      }
+      if (options.pool != nullptr) {
+        // The threaded order witness: three slices per round on the pool, so
+        // slice edges split every round's moves across threads.
+        check_leg(report, "concat-jumping-pooled", coracle, [&] {
+          const ExecOptions exec{.pool = options.pool, .processor_cap = 3};
+          return core::execute_plan(
+              core::compile_plan(ord, {.engine = EngineChoice::kJumping}), cat, cinit, exec);
         });
       }
 

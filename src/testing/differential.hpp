@@ -33,9 +33,6 @@ struct DifferentialOptions {
   /// through the pool).
   parallel::ThreadPool* pool = nullptr;
 
-  /// Worker count of the SPMD legs.
-  std::size_t spmd_workers = 3;
-
   /// Forced block count of the blocked legs (a non-power-of-two on purpose —
   /// the partition profile bug lived exactly off the power-of-two buckets).
   std::size_t blocks = 3;

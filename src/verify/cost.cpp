@@ -346,7 +346,6 @@ CostReport cost_plan(const Plan& plan, const CostOptions& options) {
   const StepModel model(options);
   switch (plan.engine) {
     case core::PlanEngine::kJumping:
-    case core::PlanEngine::kSpmd:
       cost_jumping(plan, model, report);
       break;
     case core::PlanEngine::kBlocked:

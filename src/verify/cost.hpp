@@ -70,8 +70,8 @@ struct CostReport {
   std::size_t depth = 0;           ///< longest ⊙ chain
   std::size_t steps = 0;           ///< Σ phase steps (== pram::Machine steps
                                    ///  for jumping plans without early exit)
-  std::size_t rounds = 0;          ///< parallel concatenation rounds (jumping/
-                                   ///  SPMD: JumpSchedule::rounds(); blocked:
+  std::size_t rounds = 0;          ///< parallel concatenation rounds (jumping:
+                                   ///  JumpSchedule::rounds(); blocked:
                                    ///  resolve rounds; 0 otherwise)
   std::size_t peak_footprint = 0;  ///< max phase footprint
   std::size_t peak_bank_occupancy = 0;

@@ -66,7 +66,7 @@ class Reporter {
 
 bool is_ordinary_engine(PlanEngine engine) {
   return engine == PlanEngine::kJumping || engine == PlanEngine::kBlocked ||
-         engine == PlanEngine::kSpmd || engine == PlanEngine::kScan;
+         engine == PlanEngine::kScan;
 }
 
 // ---------------------------------------------------------------------------
@@ -139,8 +139,7 @@ bool check_bounds(Reporter& rep, const Plan& plan, const GeneralIrSystem& sys) {
   }
 
   switch (plan.engine) {
-    case PlanEngine::kJumping:
-    case PlanEngine::kSpmd: {
+    case PlanEngine::kJumping: {
       const core::JumpSchedule& js = plan.jump;
       if (js.dst.size() != js.src.size()) {
         rep.add(CheckFamily::kPrecondition, "jump.table-size",
@@ -358,7 +357,7 @@ void check_preconditions(Reporter& rep, const Plan& plan, const GeneralIrSystem&
 // PRAM hazard analysis.
 // ---------------------------------------------------------------------------
 
-/// Double-buffered rounds (jumping, SPMD): reads always precede writes, so
+/// Double-buffered jumping rounds: reads always precede writes, so
 /// the only hazard is two moves of one round writing the same trace slot —
 /// the write phase would race (and be order-dependent even run serially).
 void check_jump_hazards(Reporter& rep, const Plan& plan) {
@@ -480,7 +479,6 @@ void check_scatter_hazards(Reporter& rep, const char* code,
 void check_hazards(Reporter& rep, const Plan& plan) {
   switch (plan.engine) {
     case PlanEngine::kJumping:
-    case PlanEngine::kSpmd:
       check_jump_hazards(rep, plan);
       break;
     case PlanEngine::kBlocked:

@@ -9,8 +9,8 @@
 //
 //  1. PRAM hazard analysis — each executor phase is checked against its own
 //     synchronization discipline.  Double-buffered pointer-jumping rounds
-//     (jumping, SPMD) need exclusive writes per round (CREW: concurrent
-//     reads are fine, two moves writing one destination are not), which is
+//     need exclusive writes per round (CREW: concurrent reads are fine,
+//     two moves writing one destination are not), which is
 //     what turns the "reads of a round all precede its writes" comment in
 //     plan.hpp into a proved property.  Unbuffered parallel steps (blocked
 //     phase 2, blocked phase-1 block sweeps) additionally need reads

@@ -79,16 +79,14 @@ TEST(ExecuteWideTest, OrdinaryEnginesMatchPerLaneExecution) {
   const auto ord = testing::random_ordinary_system(300, 400, rng, 0.85);
   const AddMonoid<std::uint64_t> add;
   const auto rows = numeric_rows(ord.cells, 5);
-  for (const EngineChoice engine :
-       {EngineChoice::kJumping, EngineChoice::kBlocked, EngineChoice::kSpmd}) {
+  for (const EngineChoice engine : {EngineChoice::kJumping, EngineChoice::kBlocked}) {
     PlanOptions options;
     options.engine = engine;
     options.blocks = 3;
     const Plan plan = compile_plan(ord, options);
     expect_wide_matches_scalar(add, plan, rows);
 
-    // The figures themselves: one ⊙ per root seed plus the replayed ones,
-    // for SPMD exactly as for jumping.
+    // The figures themselves: one ⊙ per root seed plus the replayed ones.
     ExecStats stats;
     (void)execute_plan(plan, add, rows[0], stats.sinks());
     if (plan.engine == PlanEngine::kBlocked) {
@@ -151,8 +149,7 @@ TEST(ExecuteWideTest, NonCommutativeStringsTakeTheGenericRowPath) {
     }
   }
   const ConcatMonoid cat;
-  for (const EngineChoice engine :
-       {EngineChoice::kJumping, EngineChoice::kBlocked, EngineChoice::kSpmd}) {
+  for (const EngineChoice engine : {EngineChoice::kJumping, EngineChoice::kBlocked}) {
     PlanOptions options;
     options.engine = engine;
     expect_wide_matches_scalar(cat, compile_plan(ord, options), rows);
@@ -233,8 +230,7 @@ TEST(ExecuteWideTest, RootCellWrittenByALaterTraceSeedsInInitialOrder) {
   sys.f = {2, 0};
   sys.g = {1, 2};
   const AddMonoid<std::uint64_t> add;
-  for (const EngineChoice engine :
-       {EngineChoice::kJumping, EngineChoice::kBlocked, EngineChoice::kSpmd}) {
+  for (const EngineChoice engine : {EngineChoice::kJumping, EngineChoice::kBlocked}) {
     PlanOptions options;
     options.engine = engine;
     expect_wide_matches_scalar(add, compile_plan(sys, options),

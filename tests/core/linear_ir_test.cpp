@@ -55,8 +55,7 @@ std::vector<double> positive_values(std::size_t cells, support::SplitMix64& rng)
 }
 
 /// Every plan an ordinary system can be forced to; kScan only fits chains.
-constexpr EngineChoice kOrdinaryEngines[] = {EngineChoice::kJumping, EngineChoice::kBlocked,
-                                             EngineChoice::kSpmd};
+constexpr EngineChoice kOrdinaryEngines[] = {EngineChoice::kJumping, EngineChoice::kBlocked};
 
 TEST(LinearIrTest, SequentialKnownValues) {
   // X[1] = 2 X[0] + 1; X[2] = 2 X[1] + 1 with X = {1, 0, 0}.
@@ -173,8 +172,7 @@ TEST(MoebiusIrTest, EveryOrdinaryPlanMatchesSequential) {
   for (const EngineChoice engine : kOrdinaryEngines) {
     const Plan plan = compile_plan(loop.system, {.engine = engine, .pool = &pool});
     expect_near(moebius_ir_run(plan, loop.maps, init), expect, 1e-6);
-    expect_near(moebius_ir_run(plan, loop.maps, init, {.pool = &pool, .workers = 3}), expect,
-                1e-6);
+    expect_near(moebius_ir_run(plan, loop.maps, init, {.pool = &pool}), expect, 1e-6);
   }
   // kAuto through the shared solver, with and without the pool as its hint.
   expect_near(moebius_ir_parallel(loop, init), expect, 1e-6);
@@ -215,7 +213,7 @@ TEST(MoebiusIrTest, ChainsTakeTheScanFold) {
   expect_near(moebius_ir_run(scan, loop.maps, init), expect, 1e-9);
   for (const EngineChoice engine : kOrdinaryEngines) {
     const Plan plan = compile_plan(loop.system, {.engine = engine, .blocks = 3});
-    expect_near(moebius_ir_run(plan, loop.maps, init, {.workers = 2}), expect, 1e-9);
+    expect_near(moebius_ir_run(plan, loop.maps, init, {.pool = &pool}), expect, 1e-9);
   }
 }
 
@@ -238,8 +236,8 @@ TEST(MoebiusIrTest, RecurrenceFreeLoopSolves) {
                support::ContractViolation);
 
   // Forced ordinary plans run it as a schedule of root seeds alone.
-  for (const EngineChoice engine : {EngineChoice::kJumping, EngineChoice::kBlocked,
-                                    EngineChoice::kSpmd, EngineChoice::kScan}) {
+  for (const EngineChoice engine :
+       {EngineChoice::kJumping, EngineChoice::kBlocked, EngineChoice::kScan}) {
     const Plan plan = compile_plan(loop.system, {.engine = engine});
     expect_near(moebius_ir_run(plan, loop.maps, init), expect, 1e-12);
   }
@@ -255,8 +253,8 @@ TEST(MoebiusIrTest, PerIterationOperandsAreHonoured) {
   const std::vector<double> init{100.0, 101.0, 102.0, 103.0};
   const std::vector<double> expect{100.0, 1100.0, 2101.0, 103.0};
   EXPECT_EQ(moebius_ir_sequential(loop, init), expect);
-  for (const EngineChoice engine : {EngineChoice::kJumping, EngineChoice::kBlocked,
-                                    EngineChoice::kSpmd, EngineChoice::kScan}) {
+  for (const EngineChoice engine :
+       {EngineChoice::kJumping, EngineChoice::kBlocked, EngineChoice::kScan}) {
     const Plan plan = compile_plan(loop.system, {.engine = engine});
     EXPECT_EQ(moebius_ir_run(plan, loop.maps, init), expect) << to_string(plan.engine);
   }

@@ -1,10 +1,12 @@
 // The pointer-jumping route: a forced kJumping plan, compiled and replayed
-// once per call, against the sequential loop.
+// once per call, against the sequential loop — without a pool and on pools
+// whose slices split every round.
 #include "core/ordinary_ir.hpp"
 
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <type_traits>
 
 #include "algebra/monoids.hpp"
 #include "testing/random_systems.hpp"
@@ -109,6 +111,83 @@ TEST(OrdinaryIrParallelTest, ThreadPoolAndCapsMatch) {
   for (std::size_t cap : {0u, 1u, 2u, 5u, 64u}) {
     EXPECT_EQ(jumping(op, sys, init, {.pool = &pool, .processor_cap = cap}), expect)
         << "cap " << cap;
+  }
+}
+
+TEST(OrdinaryIrParallelTest, PooledMatchesSequentialAcrossPoolSizes) {
+  support::SplitMix64 rng(102);
+  const auto sys = random_ordinary_system(1000, 1400, rng, 0.9);
+  const auto init = random_initial_u64(1400, rng);
+  const auto op = AddMonoid<std::uint64_t>{};
+  const auto expect = ordinary_ir_sequential(op, sys, init);
+  for (std::size_t threads : {2u, 3u, 4u, 7u}) {
+    parallel::ThreadPool pool(threads);
+    EXPECT_EQ(jumping(op, sys, init, {.pool = &pool}), expect) << threads << " threads";
+  }
+}
+
+TEST(OrdinaryIrParallelTest, PooledNonCommutativeOrderPreservedAcrossSlices) {
+  // Three slices on four threads: every round's moves are split at slice
+  // edges and run on different threads, yet the string products must come
+  // out in the sequential left-to-right order.
+  support::SplitMix64 rng(103);
+  const auto sys = random_ordinary_system(200, 300, rng, 0.8);
+  std::vector<std::string> init(300);
+  for (std::size_t c = 0; c < 300; ++c) init[c] = std::string(1, char('a' + c % 26));
+  parallel::ThreadPool pool(4);
+  EXPECT_EQ(jumping(ConcatMonoid{}, sys, init, {.pool = &pool, .processor_cap = 3}),
+            ordinary_ir_sequential(ConcatMonoid{}, sys, init));
+}
+
+TEST(OrdinaryIrParallelTest, PooledEmptySystem) {
+  OrdinaryIrSystem sys{4, {}, {}};
+  parallel::ThreadPool pool(2);
+  EXPECT_EQ(jumping(AddMonoid<std::uint64_t>{}, sys, {9, 8, 7, 6},
+                    {.pool = &pool, .processor_cap = 16}),
+            (std::vector<std::uint64_t>{9, 8, 7, 6}));
+}
+
+TEST(OrdinaryIrParallelTest, PooledCapAboveEquationCount) {
+  // Cap 16 on a 2-equation system: the single one-move round gets one slice.
+  OrdinaryIrSystem sys{4, {0, 1}, {1, 2}};
+  const std::vector<std::uint64_t> init{1, 10, 100, 1000};
+  parallel::ThreadPool pool(2);
+  EXPECT_EQ(jumping(AddMonoid<std::uint64_t>{}, sys, init, {.pool = &pool, .processor_cap = 16}),
+            ordinary_ir_sequential(AddMonoid<std::uint64_t>{}, sys, init));
+}
+
+/// A value type without a default constructor: the jumping executor's round
+/// scratch cannot resize, so it clones an existing trace instead.
+struct Tagged {
+  std::uint64_t v;
+  explicit Tagged(std::uint64_t value) : v(value) {}
+  friend bool operator==(const Tagged&, const Tagged&) = default;
+};
+
+struct TaggedAdd {
+  using Value = Tagged;
+  static constexpr bool is_commutative = true;
+  Value combine(const Value& a, const Value& b) const { return Tagged(a.v + b.v); }
+};
+
+TEST(OrdinaryIrParallelTest, NonDefaultConstructibleValuesRunOnEveryOrdinaryEngine) {
+  static_assert(!std::is_default_constructible_v<Tagged>);
+  // Two chains from cell 0 (the second starts at iteration 4), so the
+  // schedules have roots, rounds, and cross-block fix-ups.
+  OrdinaryIrSystem sys;
+  sys.cells = 9;
+  sys.g = {1, 2, 3, 4, 5, 6, 7, 8};
+  sys.f = {0, 1, 2, 3, 0, 5, 6, 7};
+  std::vector<Tagged> init;
+  for (std::size_t c = 0; c < sys.cells; ++c) init.emplace_back(10 + c);
+  const auto expect = ordinary_ir_sequential(TaggedAdd{}, sys, init);
+
+  parallel::ThreadPool pool(3);
+  for (const EngineChoice engine :
+       {EngineChoice::kJumping, EngineChoice::kBlocked, EngineChoice::kScan}) {
+    const Plan plan = compile_plan(sys, {.engine = engine, .blocks = 3});
+    EXPECT_EQ(execute_plan(plan, TaggedAdd{}, init, {.pool = &pool}), expect)
+        << to_string(plan.engine);
   }
 }
 

@@ -1,8 +1,8 @@
 // Binary plan format + PlanStore: round-trip across every engine (loaded
 // plans execute bit-identically and borrow their tables straight from the
 // buffer), the adversarial import gauntlet (truncation, bit flips, bounds,
-// foreign byte order, tampered tables), and the store's put/get/manifest/
-// preload lifecycle with the collision double-check.
+// foreign byte order, a retired engine id, tampered tables), and the store's
+// put/get/manifest/preload lifecycle with the collision double-check.
 #include "core/plan_io.hpp"
 
 #include <gtest/gtest.h>
@@ -19,6 +19,7 @@
 #include "algebra/monoids.hpp"
 #include "core/ordinary_ir.hpp"
 #include "core/serialize.hpp"
+#include "core/solver.hpp"
 #include "support/contract.hpp"
 #include "testing/random_systems.hpp"
 
@@ -31,6 +32,7 @@ using algebra::AddMonoid;
 /// with the whole-file checksum; the recorded cache identity and the key
 /// words it must derive from sit behind the fingerprint.
 constexpr std::size_t kTestHeaderBytes = 544;
+constexpr std::size_t kTestEngineOffset = 16;
 constexpr std::size_t kTestChecksumOffset = 536;
 constexpr std::size_t kTestStoreKeyOffset = 40;
 constexpr std::size_t kTestCheckBytesOffset = 48;
@@ -135,8 +137,7 @@ TEST(PlanIoTest, RoundTripsEveryEngine) {
   support::SplitMix64 rng(401);
   const auto ord = testing::random_ordinary_system(180, 260, rng, 0.8);
 
-  for (const EngineChoice choice :
-       {EngineChoice::kJumping, EngineChoice::kBlocked, EngineChoice::kSpmd}) {
+  for (const EngineChoice choice : {EngineChoice::kJumping, EngineChoice::kBlocked}) {
     PlanOptions options;
     options.engine = choice;
     SCOPED_TRACE(static_cast<int>(choice));
@@ -240,6 +241,17 @@ TEST(PlanIoAdversarialTest, UnknownVersionIsRejected) {
   std::memcpy(bytes.data() + 12, &version, 4);  // version follows the tag
   reseal_checksum(bytes);
   expect_rejected(std::move(bytes), "version");
+}
+
+TEST(PlanIoAdversarialTest, RetiredEngineIdIsRejectedByName) {
+  const Exported e = export_ordinary(chain_system(30), {.engine = EngineChoice::kJumping});
+  ASSERT_EQ(e.plan.engine, PlanEngine::kJumping);
+  std::string bytes = e.bytes;
+  const std::uint32_t retired = 3;
+  std::memcpy(bytes.data() + kTestEngineOffset, &retired, 4);
+  // Not resealed: the engine gate runs before the checksum, like the
+  // version gate, so the reason names the engine, not the checksum.
+  expect_rejected(std::move(bytes), "retired spmd engine");
 }
 
 TEST(PlanIoAdversarialTest, OutOfBoundsSectionOffsetIsRejected) {
@@ -441,6 +453,35 @@ TEST_F(PlanStoreTest, CorruptEntryIsRejectedNotServed) {
   }
   EXPECT_EQ(store.get(e.key, e.check), nullptr);
   EXPECT_EQ(store.rejects(), 1u);
+}
+
+TEST_F(PlanStoreTest, RetiredEngineEntryIsRejectedAndRecompiled) {
+  PlanStore store(dir_.string());
+  const OrdinaryIrSystem sys = chain_system(25);
+  const PlanOptions options{.engine = EngineChoice::kJumping};
+  const Exported e = export_ordinary(sys, options);
+  const std::string path = store.put(e.words, e.plan, e.sys);
+
+  // Patch the engine field on disk to the retired id 3.
+  {
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    const std::uint32_t retired = 3;
+    f.seekp(static_cast<std::streamoff>(kTestEngineOffset));
+    f.write(reinterpret_cast<const char*>(&retired), sizeof retired);
+  }
+  EXPECT_EQ(store.get(e.key, e.check), nullptr);
+  EXPECT_EQ(store.rejects(), 1u);
+
+  // A Solver reading through the store treats the entry as a reject,
+  // compiles afresh, and its write-through replaces the entry.
+  Solver solver(SolverConfig{.plan_store = &store});
+  const auto plan = solver.compile(sys, options);
+  EXPECT_EQ(plan->engine, PlanEngine::kJumping);
+  EXPECT_EQ(solver.plan_compiles(), 1u);
+  EXPECT_EQ(store.rejects(), 2u);
+  const auto reloaded = store.get(e.key, e.check);
+  ASSERT_NE(reloaded, nullptr);
+  EXPECT_EQ(reloaded->engine, PlanEngine::kJumping);
 }
 
 TEST_F(PlanStoreTest, ManifestListsHeadersAndSkipsJunk) {

@@ -66,6 +66,18 @@ TEST(PlanTest, CompileIsDeterministic) {
   EXPECT_EQ(a.blocked.fix_dst, b.blocked.fix_dst);
 }
 
+TEST(PlanTest, EngineNamesParseFromOneTable) {
+  EXPECT_EQ(engine_choice_from_name("auto"), EngineChoice::kAuto);
+  EXPECT_EQ(engine_choice_from_name("elementwise"), EngineChoice::kElementwise);
+  EXPECT_EQ(engine_choice_from_name("jumping"), EngineChoice::kJumping);
+  EXPECT_EQ(engine_choice_from_name("blocked"), EngineChoice::kBlocked);
+  EXPECT_EQ(engine_choice_from_name("scan"), EngineChoice::kScan);
+  EXPECT_EQ(engine_choice_from_name("gir"), EngineChoice::kGeneralCap);
+  EXPECT_EQ(engine_choice_from_name("spmd"), std::nullopt);
+  EXPECT_EQ(engine_choice_from_name("Jumping"), std::nullopt);
+  EXPECT_EQ(engine_choice_from_name(""), std::nullopt);
+}
+
 TEST(PlanTest, PlanOwnsItsReport) {
   // Every route, including elementwise, carries the analysis it routed on.
   GeneralIrSystem streaming{8, {6, 7}, {0, 1}, {6, 6}};
@@ -87,8 +99,7 @@ void poison_maps(System& sys) {
 TEST(PlanTest, ExecuteIgnoresPoisonedMapsOrdinaryEngines) {
   support::SplitMix64 rng(74);
   ModMulMonoid op(1'000'000'007ull);
-  for (const auto engine :
-       {EngineChoice::kJumping, EngineChoice::kBlocked, EngineChoice::kSpmd}) {
+  for (const auto engine : {EngineChoice::kJumping, EngineChoice::kBlocked}) {
     auto sys = testing::random_ordinary_system(400, 600, rng, 0.85);
     std::vector<std::uint64_t> init(600);
     for (auto& v : init) v = 1 + rng.below(1'000'000'006ull);
@@ -100,10 +111,7 @@ TEST(PlanTest, ExecuteIgnoresPoisonedMapsOrdinaryEngines) {
     const Plan plan = compile_plan(sys, options);
     poison_maps(sys);  // the plan must not notice
 
-    ExecOptions exec;
-    exec.workers = 2;
-    EXPECT_EQ(execute_plan(plan, op, init, exec), expected)
-        << "engine " << to_string(plan.engine);
+    EXPECT_EQ(execute_plan(plan, op, init), expected) << "engine " << to_string(plan.engine);
   }
 }
 
@@ -205,7 +213,7 @@ TEST(PlanTest, CacheKeyMasksOptionsTheResolvedRouteNeverReads) {
   gir_flags.reference_counts = !base.reference_counts;
   EXPECT_EQ(plan_cache_key(ord, base), plan_cache_key(ord, gir_flags));
 
-  // Forced jumping/spmd schedules read no block hint or threshold either.
+  // Forced jumping schedules read no block hint or threshold either.
   PlanOptions jumping;
   jumping.engine = EngineChoice::kJumping;
   PlanOptions jumping_hints = jumping;

@@ -136,14 +136,13 @@ TEST(SolverTest, SolveMatchesSequentialAcrossEnginesRandomized) {
     std::vector<std::uint64_t> init(n + n / 2);
     for (auto& v : init) v = 1 + rng.below(1'000'000'006ull);
     const auto expected = ordinary_ir_sequential(op, sys, init);
-    for (const auto engine : {EngineChoice::kAuto, EngineChoice::kJumping,
-                              EngineChoice::kBlocked, EngineChoice::kSpmd}) {
+    for (const auto engine :
+         {EngineChoice::kAuto, EngineChoice::kJumping, EngineChoice::kBlocked}) {
       PlanOptions options;
       options.engine = engine;
       options.pool = &pool;
       ExecOptions exec;
       exec.pool = &pool;
-      exec.workers = 2;
       EXPECT_EQ(solver.solve(op, sys, init, options, exec), expected)
           << "trial " << trial << " engine " << static_cast<int>(engine);
     }

@@ -22,9 +22,10 @@ using core::OrdinaryIrSystem;
 template <typename Op, typename System>
 std::vector<typename Op::Value> forced(core::EngineChoice engine, const Op& op,
                                        const System& sys,
-                                       const std::vector<typename Op::Value>& init) {
+                                       const std::vector<typename Op::Value>& init,
+                                       const core::ExecOptions& exec = {}) {
   const core::PlanOptions options{.engine = engine, .blocks = 5, .prune_dead = false};
-  return core::execute_plan(core::compile_plan(sys, options), op, init, {.workers = 3});
+  return core::execute_plan(core::compile_plan(sys, options), op, init, exec);
 }
 
 /// Check every ordinary route against the sequential ground truth.
@@ -34,8 +35,9 @@ void check_ordinary_all_routes(const OrdinaryIrSystem& sys,
   const auto expect = core::ordinary_ir_sequential(op, sys, init);
   EXPECT_EQ(forced(core::EngineChoice::kJumping, op, sys, init), expect);
   EXPECT_EQ(forced(core::EngineChoice::kBlocked, op, sys, init), expect);
-  EXPECT_EQ(forced(core::EngineChoice::kSpmd, op, sys, init), expect);
   EXPECT_EQ(forced(core::EngineChoice::kAuto, op, sys, init), expect);
+  parallel::ThreadPool pool(3);
+  EXPECT_EQ(forced(core::EngineChoice::kJumping, op, sys, init, {.pool = &pool}), expect);
 }
 
 TEST(TortureTest, SelfReadEquations) {

@@ -65,7 +65,7 @@ TEST(ParallelForBlocksTest, WorkerIdsAreDistinct) {
   ThreadPool pool(4);
   std::mutex mutex;
   std::vector<std::size_t> workers;
-  parallel_for_blocks(pool, 100, [&](const Block& b) {
+  parallel_for_blocks(pool, 100, pool.size(), [&](const Block& b) {
     std::lock_guard lock(mutex);
     workers.push_back(b.worker);
   });
@@ -76,14 +76,20 @@ TEST(ParallelForBlocksTest, WorkerIdsAreDistinct) {
 TEST(ParallelForCappedTest, CapLimitsBlockCount) {
   ThreadPool pool(8);
   std::atomic<int> blocks{0};
-  parallel_for_blocks(pool, 100, [&](const Block&) { ++blocks; });
+  parallel_for_blocks(pool, 100, pool.size(), [&](const Block&) { ++blocks; });
   EXPECT_LE(blocks.load(), 8);
 
-  // Capped at 3: even with 8 threads only 3 blocks exist.
+  // Capped at 3: even with 8 threads only 3 blocks exist, and together they
+  // cover every index exactly once.
+  blocks = 0;
   std::vector<std::atomic<int>> hits(100);
-  parallel_for_capped(pool, 100, 3, [&](std::size_t i) { ++hits[i]; });
+  parallel_for_blocks(pool, 100, 3, [&](const Block& b) {
+    ++blocks;
+    for (std::size_t i = b.begin; i < b.end; ++i) ++hits[i];
+  });
+  EXPECT_EQ(blocks.load(), 3);
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-  EXPECT_THROW(parallel_for_capped(pool, 10, 0, [](std::size_t) {}),
+  EXPECT_THROW(parallel_for_blocks(pool, 10, 0, [](const Block&) {}),
                support::ContractViolation);
 }
 

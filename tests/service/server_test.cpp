@@ -29,6 +29,7 @@
 #include "core/general_ir.hpp"
 #include "core/ordinary_ir.hpp"
 #include "core/plan_io.hpp"
+#include "service/line_protocol.hpp"
 #include "support/rng.hpp"
 #include "testing/random_systems.hpp"
 
@@ -118,6 +119,18 @@ std::vector<std::uint64_t> iota_initial(std::size_t cells) {
 }
 
 // ---- (a) coalescing: one plan, oracle-identical outputs --------------------
+
+TEST(LineProtocolTest, EngineAttributeUsesTheCoreNameTable) {
+  line_protocol::SolveArgs args;
+  std::string error;
+  EXPECT_TRUE(line_protocol::apply_solve_attr("engine", "scan", &args, &error));
+  EXPECT_EQ(args.plan.engine, core::EngineChoice::kScan);
+
+  // The retired engine is an unknown name like any other, with a typed reason.
+  EXPECT_FALSE(line_protocol::apply_solve_attr("engine", "spmd", &args, &error));
+  EXPECT_EQ(error, "unknown engine 'spmd'");
+  EXPECT_EQ(args.plan.engine, core::EngineChoice::kScan);
+}
 
 TEST(ServiceServerTest, ConcurrentSubmitsCompileOnePlanAndMatchOracle) {
   support::SplitMix64 rng(41);

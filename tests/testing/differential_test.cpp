@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -75,6 +76,25 @@ TEST(DifferentialTest, InjectedOracleBugIsDetectedByEveryValueRoute) {
   // Every route that produces values must flag the corruption; only the
   // serializer round-trip leg is value-free.
   EXPECT_GE(report.mismatches.size(), report.engines_run - 1);
+}
+
+TEST(DifferentialTest, PooledConcatWitnessRunsAndHasTeeth) {
+  // With a pool, the non-commutative sweep also runs jumping on three pool
+  // slices per round; a corrupted oracle must be flagged by that leg too.
+  support::SplitMix64 rng(93);
+  parallel::ThreadPool pool(4);
+  DifferentialOptions corrupt;
+  corrupt.pool = &pool;
+  corrupt.corrupt_oracle = true;
+  GeneratedCase c;
+  do {
+    c = generate_case(ShapeClass::kOrdinaryScattered, rng, small_limits());
+  } while (c.sys.iterations() < 3);
+  const auto report = run_differential(c.sys, corrupt);
+  EXPECT_NE(std::find(report.mismatches.begin(), report.mismatches.end(),
+                      "concat-jumping-pooled"),
+            report.mismatches.end())
+      << report.summary();
 }
 
 TEST(DifferentialTest, InjectedBugShrinksToTinyValidReplayableReproducer) {

@@ -43,7 +43,6 @@ std::vector<std::pair<EngineChoice, const char*>> applicable_routes(
   if (sys.h == sys.g && report.repeated_writes == 0) {
     routes.emplace_back(EngineChoice::kJumping, "jumping");
     routes.emplace_back(EngineChoice::kBlocked, "blocked");
-    routes.emplace_back(EngineChoice::kSpmd, "spmd");
   }
   if (report.dependences == 0) {
     routes.emplace_back(EngineChoice::kElementwise, "elementwise");

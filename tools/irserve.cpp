@@ -21,8 +21,8 @@
 // request yields byte-identical `values` lines over HTTP and newline — the
 // serving tier's differential contract.
 //
-//   solve [id=N] [deadline_ms=D] [engine=auto|jumping|blocked|spmd|gir]
-//         [values=inline]
+//   solve [id=N] [deadline_ms=D]
+//         [engine=auto|elementwise|jumping|blocked|scan|gir] [values=inline]
 //   <ir-system v1 document>
 //   .
 //   [<ir-values v1 document>      only with values=inline
