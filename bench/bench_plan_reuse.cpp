@@ -11,12 +11,6 @@
 //   wide     compile_plan once, then ONE execute_wide over a K-lane SoA
 //            batch — every schedule entry loaded once, row ops SIMD-eligible
 //
-//   store    restart simulation: the plan persisted to an on-disk store
-//            (core/plan_io.hpp), then a fresh Solver with an EMPTY cache
-//            solves K times — the first solve is a verified zero-copy load
-//            from disk instead of a compile, the rest are cache hits, and
-//            the whole sequence must run with plan_compiles() == 0
-//
 // and prints one row per engine with the cold/warm and warm/wide speedups.
 // Acceptance targets: warm >= 1.5x cold on jumping, and wide >= 2x the
 // per-k execute_plan loop (warm), both at n = 50,000, K = 16.
@@ -33,14 +27,12 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "algebra/monoids.hpp"
 #include "bench_report.hpp"
 #include "core/plan.hpp"
-#include "core/plan_io.hpp"
 #include "core/solver.hpp"
 #include "obs/metrics_export.hpp"
 #include "parallel/thread_pool.hpp"
@@ -135,77 +127,6 @@ CaseResult run_case(core::EngineChoice engine, const std::string& name,
               result.warm_seconds, result.batched_seconds, result.wide_seconds,
               result.cold_seconds / result.warm_seconds,
               warm_exec_seconds / result.wide_seconds,
-              static_cast<unsigned long long>(checksum));
-  return result;
-}
-
-struct StoreResult {
-  std::string engine;
-  double store_seconds = 0.0;    // K solves after restart, zero compiles
-  std::vector<double> store_ns;  // per-repetition samples (first = the load)
-};
-
-/// The warm-start-from-store leg.  Populate the store with one write-through
-/// compile, then simulate a process restart: a fresh Solver with an empty
-/// plan cache solves K times against the store.  Rep 0 pays the verified
-/// mmap load (header + checksum + static verifier + zero-copy table borrow);
-/// reps 1..K-1 are in-memory cache hits.  Zero compiles, enforced.
-StoreResult run_store_case(core::EngineChoice engine, const std::string& name,
-                           const core::OrdinaryIrSystem& sys,
-                           const std::vector<std::uint64_t>& init,
-                           std::size_t repeats, parallel::ThreadPool& pool,
-                           const std::string& store_dir) {
-  const auto op = algebra::AddMonoid<std::uint64_t>{};
-  core::PlanOptions plan_options;
-  plan_options.engine = engine;
-  plan_options.pool = &pool;
-  core::ExecOptions exec;
-  exec.pool = &pool;
-
-  {
-    core::PlanStore seed_store(store_dir);
-    core::SolverConfig config;
-    config.plan_store = &seed_store;
-    core::Solver solver(config);
-    (void)solver.compile(sys, plan_options);  // write-through populates the store
-  }
-
-  core::PlanStore store(store_dir);
-  core::SolverConfig config;
-  config.plan_store = &store;
-  config.store_writes = false;
-  core::Solver solver(config);
-
-  StoreResult result;
-  result.engine = name;
-  std::vector<std::uint64_t> out;
-  support::Stopwatch watch;
-  watch.lap();
-  for (std::size_t rep = 0; rep < repeats; ++rep) {
-    support::Stopwatch rep_watch;
-    rep_watch.lap();
-    const auto plan = solver.compile(sys, plan_options);
-    out = solver.execute(*plan, op, init, exec);
-    result.store_ns.push_back(rep_watch.lap() * 1e9);
-  }
-  result.store_seconds = watch.lap();
-
-  if (solver.plan_compiles() != 0 || store.hits() != 1) {
-    std::fprintf(stderr,
-                 "store leg %s broke its contract: %llu compiles, %llu store "
-                 "hits (want 0 and 1)\n",
-                 name.c_str(),
-                 static_cast<unsigned long long>(solver.plan_compiles()),
-                 static_cast<unsigned long long>(store.hits()));
-    std::exit(1);
-  }
-
-  std::uint64_t checksum = 0;
-  for (const auto v : out) checksum ^= v;
-  std::printf("%-8s n=%zu K=%zu store=%.4fs first-load=%.4fms (0 compiles, "
-              "checksum %llu)\n",
-              name.c_str(), sys.iterations(), repeats, result.store_seconds,
-              result.store_ns.front() / 1e6,
               static_cast<unsigned long long>(checksum));
   return result;
 }
@@ -317,20 +238,6 @@ int main(int argc, char** argv) {
   rows.push_back(run_case(core::EngineChoice::kJumping, "jumping", sys, init, repeats, pool));
   rows.push_back(run_case(core::EngineChoice::kBlocked, "blocked", sys, init, repeats, pool));
 
-  // Warm start from an on-disk plan store: persist, "restart", solve K times
-  // with zero compiles (the per-engine contract is enforced inside the leg).
-  const std::string store_dir =
-      (std::filesystem::temp_directory_path() /
-       ("bench_plan_store_" + std::to_string(static_cast<unsigned long>(rng.next()))))
-          .string();
-  std::printf("# warm start from plan store (%s)\n", store_dir.c_str());
-  std::vector<StoreResult> store_rows;
-  store_rows.push_back(
-      run_store_case(core::EngineChoice::kJumping, "jumping", sys, init, repeats, pool, store_dir));
-  store_rows.push_back(
-      run_store_case(core::EngineChoice::kBlocked, "blocked", sys, init, repeats, pool, store_dir));
-  std::filesystem::remove_all(store_dir);
-
   // The chain fast route must beat log-depth jumping at n >= 100,000; smoke
   // keeps the same shape at a CI-friendly size.
   const std::size_t chain_n = smoke ? 4'000 : std::max<std::size_t>(2 * n, 100'000);
@@ -350,9 +257,6 @@ int main(int argc, char** argv) {
       extra.emplace_back(row.engine + "_batched_seconds",
                          std::to_string(row.batched_seconds));
       extra.emplace_back(row.engine + "_wide_seconds", std::to_string(row.wide_seconds));
-    }
-    for (const auto& row : store_rows) {
-      extra.emplace_back(row.engine + "_store_seconds", std::to_string(row.store_seconds));
     }
     for (const auto& leg : chain_legs) {
       extra.emplace_back(leg.label + "_warm_seconds", std::to_string(leg.warm_seconds));
@@ -376,9 +280,6 @@ int main(int argc, char** argv) {
       // execute_wide is likewise one wall measurement over a K-lane batch.
       report.add_variant(row.engine + "/wide",
                          {row.wide_seconds * 1e9 / static_cast<double>(repeats)});
-    }
-    for (const auto& row : store_rows) {
-      report.add_variant(row.engine + "/store-warm", row.store_ns);
     }
     report.set_config("chain_n", chain_n);
     for (const auto& leg : chain_legs) {

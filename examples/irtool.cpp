@@ -56,7 +56,11 @@
 //   irtool plan export <file> <store-dir> [--engine=E]
 //                                               compile and persist the plan
 //                                               into an on-disk plan store
-//                                               (docs/plan_store.md)
+//                                               (docs/plan_store.md); only
+//                                               gir-cap plans are stored, so
+//                                               an ordinary route exits 1
+//                                               (--engine=gir exports any
+//                                               system)
 //   irtool plan import <plan-file> [<store-dir>]
 //                                               validate + statically verify a
 //                                               plan file; with a store dir,
@@ -123,6 +127,9 @@ int usage() {
                "\n"
                "lint exit codes:  0 = every checked plan certified;\n"
                "                  1 = at least one violation (or runtime error);\n"
+               "                  2 = usage error\n"
+               "plan export exit codes: 0 = exported; 1 = the plan is not gir-cap\n"
+               "                  (stores hold gir-cap plans only) or an I/O error;\n"
                "                  2 = usage error\n"
                "audit exit codes: 0 = every store entry verified and costed;\n"
                "                  1 = at least one entry rejected;\n"
@@ -556,8 +563,13 @@ int cmd_interchange(const std::string& path, std::size_t a, std::size_t b) {
 
 void print_plan_header(const core::PlanFileInfo& info) {
   std::printf("version      %u\n", info.version);
-  std::printf("engine       %s%s\n", core::to_string(info.engine).c_str(),
-              info.chain ? " (chain)" : "");
+  std::printf("engine       %s\n", core::to_string(info.engine).c_str());
+  // The engine the cache key was asked for: auto or gir on any file the
+  // loader accepts.
+  const bool auto_key = info.requested == static_cast<std::uint64_t>(core::EngineChoice::kAuto);
+  const bool gir_key =
+      info.requested == static_cast<std::uint64_t>(core::EngineChoice::kGeneralCap);
+  std::printf("requested    %s\n", auto_key ? "auto" : gir_key ? "gir" : "unknown");
   std::printf("fingerprint  %016llx\n",
               static_cast<unsigned long long>(info.fingerprint));
   std::printf("store-key    %016llx\n",
@@ -601,9 +613,13 @@ int cmd_plan(int argc, char** argv) {
     core::PlanOptions options;
     options.engine = *engine;
     const core::Plan plan = core::compile_plan(sys, options);
-    const core::PlanKeyWords key_words = core::plan_key_words(sys, options);
+    if (const auto refusal = core::plan_store_refusal(plan)) {
+      std::fprintf(stderr, "irtool: not exported: %s (--engine=gir exports any system)\n",
+                   refusal->c_str());
+      return 1;
+    }
     core::PlanStore store(store_dir);
-    const std::string entry = store.put(key_words, plan, sys);
+    const std::string entry = store.put(core::plan_key_words(options), plan, sys);
     std::fprintf(stderr, "# exported %s plan (%zu cells, %zu iterations)\n",
                  core::to_string(plan.engine).c_str(), plan.cells,
                  plan.iterations);
@@ -620,7 +636,7 @@ int cmd_plan(int argc, char** argv) {
     const std::string store_dir = argc > 2 ? argv[2] : "";
     core::LoadedPlan loaded;
     try {
-      loaded = core::load_plan_file(path);  // verify=true by default
+      loaded = core::load_plan_file(path);
     } catch (const std::exception& error) {
       std::fprintf(stderr, "irtool: REJECTED %s: %s\n", path.c_str(), error.what());
       return 1;

@@ -324,104 +324,51 @@ GirSchedule build_gir_schedule(const GeneralIrSystem& sys, const PlanOptions& op
 
 }  // namespace
 
-namespace {
-
-/// The routes a cache key distinguishes.  kAuto ordinary stays its own class
-/// (the blocked-vs-jumping decision is made at compile time from the block
-/// hint and threshold, so both must stay in the key), while a forced engine
-/// collapses to exactly the knobs its schedule reads.  The values are
-/// recorded in .irplan headers and mixed into every store key, so they must
-/// never be renumbered; 4 is retired.
-enum class KeyRoute : std::uint64_t {
-  kElementwise = 1,
-  kJumping = 2,
-  kBlocked = 3,
-  kAutoOrdinary = 5,
-  kGeneralCap = 6,
-  kScan = 7,
-};
-
-/// Resolve which engine family compile_plan would pick for (sys, options),
-/// from the index maps alone — the same class tests routing performs, but
-/// without building any schedule.
-KeyRoute resolve_key_route(const GeneralIrSystem& sys, const PlanOptions& options) {
-  switch (options.engine) {
-    case EngineChoice::kElementwise: return KeyRoute::kElementwise;
-    case EngineChoice::kJumping: return KeyRoute::kJumping;
-    case EngineChoice::kBlocked: return KeyRoute::kBlocked;
-    case EngineChoice::kGeneralCap: return KeyRoute::kGeneralCap;
-    case EngineChoice::kScan: return KeyRoute::kScan;
-    case EngineChoice::kAuto: break;
-  }
-  const auto pred_f = last_writer_before(sys.g, sys.f, sys.cells);
-  const auto pred_h = last_writer_before(sys.g, sys.h, sys.cells);
-  bool any_dependence = false;
-  for (std::size_t i = 0; i < sys.iterations() && !any_dependence; ++i) {
-    any_dependence = pred_f[i] != kNone || pred_h[i] != kNone;
-  }
-  if (!any_dependence) return KeyRoute::kElementwise;
-  if (sys.h != sys.g) return KeyRoute::kGeneralCap;
-  std::vector<bool> written(sys.cells, false);
-  for (const std::size_t cell : sys.g) {
-    if (written[cell]) return KeyRoute::kGeneralCap;  // repeated write
-    written[cell] = true;
-  }
-  // Chain-structured ordinary systems take the scan fast route, whose
-  // schedule depends on the system content alone — no block hint or routing
-  // threshold ever enters it, so it must not share the kAutoOrdinary class.
-  if (is_chain_structured(pred_f)) return KeyRoute::kScan;
-  return KeyRoute::kAutoOrdinary;
-}
-
-}  // namespace
-
-// The option words that enter the key for the resolved route, in mixing
+// The option words that enter the key for the requested engine, in mixing
 // order — shared by plan_cache_key and plan_key_check so the two always
 // agree on *what* distinguishes two compiles and differ only in *how* they
-// hash it.
-PlanKeyWords plan_key_words(const GeneralIrSystem& sys, const PlanOptions& options) {
-  const KeyRoute route = resolve_key_route(sys, options);
+// hash it.  Each engine records exactly the knobs its compile_plan branch
+// reads, so this never looks at the system.
+PlanKeyWords plan_key_words(const PlanOptions& options) {
   PlanKeyWords out;
-  out.route = static_cast<std::uint64_t>(route);
+  out.engine = static_cast<std::uint64_t>(options.engine);
   // Resolve every pool-derived hint to a number so pool identity (and
   // lifetime) never leaks into the key.
   const std::size_t pool_size = options.pool != nullptr ? options.pool->size() : 0;
   const std::uint64_t resolved_blocks =
       options.blocks != 0 ? options.blocks : (pool_size != 0 ? pool_size : 1);
-  switch (route) {
-    case KeyRoute::kElementwise:
-    case KeyRoute::kJumping:
-    case KeyRoute::kScan:
+  const std::uint64_t gir_flags = (options.prune_dead ? 1u : 0u) |
+                                  (options.coalesce_each_round ? 2u : 0u) |
+                                  (options.reference_counts ? 4u : 0u);
+  switch (options.engine) {
+    case EngineChoice::kElementwise:
+    case EngineChoice::kJumping:
+    case EngineChoice::kScan:
       break;  // schedule depends on the system content alone
-    case KeyRoute::kBlocked:
+    case EngineChoice::kBlocked:
       out.words[out.count++] = resolved_blocks;
       break;
-    case KeyRoute::kAutoOrdinary: {
+    case EngineChoice::kGeneralCap:
+      out.words[out.count++] = gir_flags;
+      break;
+    case EngineChoice::kAuto: {
       out.words[out.count++] = resolved_blocks;
       out.words[out.count++] = pool_size != 0 ? pool_size : 4;  // routing block hint
       std::uint64_t threshold_bits = 0;
       static_assert(sizeof threshold_bits == sizeof options.blocked_threshold);
       std::memcpy(&threshold_bits, &options.blocked_threshold, sizeof threshold_bits);
       out.words[out.count++] = threshold_bits;
+      out.words[out.count++] = gir_flags;
       break;
     }
-    case KeyRoute::kGeneralCap:
-      out.words[out.count++] = (options.prune_dead ? 1u : 0u) |
-                               (options.coalesce_each_round ? 2u : 0u) |
-                               (options.reference_counts ? 4u : 0u);
-      break;
   }
   return out;
-}
-
-PlanKeyWords plan_key_words(const OrdinaryIrSystem& sys, const PlanOptions& options) {
-  return plan_key_words(GeneralIrSystem::from_ordinary(sys), options);
 }
 
 std::uint64_t plan_cache_key_for(std::uint64_t fingerprint, const PlanKeyWords& kw) {
   std::uint64_t hash = kFnvOffset;
   mix_u64(hash, fingerprint);
-  mix_u64(hash, kw.route);
+  mix_u64(hash, kw.engine);
   for (std::size_t i = 0; i < kw.count && i < kMaxPlanKeyWords; ++i) {
     mix_u64(hash, kw.words[i]);
   }
@@ -435,7 +382,7 @@ PlanKeyCheck plan_key_check_for(const ContentIdentity& id, const PlanKeyWords& k
   auto mix2 = [&hash](std::uint64_t value) {
     hash ^= value + 0x9e3779b97f4a7c15ull + (hash << 6) + (hash >> 2);
   };
-  mix2(kw.route);
+  mix2(kw.engine);
   for (std::size_t i = 0; i < kw.count && i < kMaxPlanKeyWords; ++i) {
     mix2(kw.words[i]);
   }
@@ -443,30 +390,39 @@ PlanKeyCheck plan_key_check_for(const ContentIdentity& id, const PlanKeyWords& k
 }
 
 std::uint64_t plan_cache_key(const GeneralIrSystem& sys, const PlanOptions& options) {
-  return plan_cache_key_for(content_fingerprint(sys), plan_key_words(sys, options));
+  return plan_cache_key_for(content_fingerprint(sys), plan_key_words(options));
 }
 
 std::uint64_t plan_cache_key(const OrdinaryIrSystem& sys, const PlanOptions& options) {
-  return plan_cache_key(GeneralIrSystem::from_ordinary(sys), options);
+  return plan_cache_key_for(content_fingerprint(sys), plan_key_words(options));
 }
 
 PlanKeyCheck plan_key_check(const GeneralIrSystem& sys, const PlanOptions& options) {
-  return plan_key_check_for(content_identity(sys), plan_key_words(sys, options));
+  return plan_key_check_for(content_identity(sys), plan_key_words(options));
 }
 
 PlanKeyCheck plan_key_check(const OrdinaryIrSystem& sys, const PlanOptions& options) {
-  return plan_key_check(GeneralIrSystem::from_ordinary(sys), options);
+  return plan_key_check_for(content_identity(sys), plan_key_words(options));
 }
 
-PlanKey plan_key(const GeneralIrSystem& sys, const PlanOptions& options) {
-  const PlanKeyWords kw = plan_key_words(sys, options);
+namespace {
+
+template <typename System>
+PlanKey plan_key_of(const System& sys, const PlanOptions& options) {
+  const PlanKeyWords kw = plan_key_words(options);
   const ContentHash hashes = content_hash(sys);  // one pass, both hashes
-  return {plan_cache_key_for(hashes.fingerprint, kw),
-          plan_key_check_for(hashes.identity, kw), kw};
+  return {plan_cache_key_for(hashes.fingerprint, kw), plan_key_check_for(hashes.identity, kw),
+          kw};
+}
+
+}  // namespace
+
+PlanKey plan_key(const GeneralIrSystem& sys, const PlanOptions& options) {
+  return plan_key_of(sys, options);
 }
 
 PlanKey plan_key(const OrdinaryIrSystem& sys, const PlanOptions& options) {
-  return plan_key(GeneralIrSystem::from_ordinary(sys), options);
+  return plan_key_of(sys, options);
 }
 
 Plan compile_plan(const GeneralIrSystem& sys, const PlanOptions& options) {

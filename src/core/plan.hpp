@@ -57,9 +57,9 @@ inline constexpr std::uint32_t kNoIndex32 = 0xFFFFFFFFu;
 /// detected at compile time and replayed as an O(n) sequential segmented
 /// scan (src/scan/) instead of O(n log n) pointer jumping.
 ///
-/// The values are the engine ids of the .irplan format (core/plan_io.hpp)
-/// and must never be renumbered.  Id 3 is retired (its jump schedule is
-/// replayed by kJumping), and the plan-file loader rejects it with a reason.
+/// The values are the engine ids of the .irplan header (core/plan_io.hpp)
+/// and must never be renumbered; v3 files store only kGeneralCap.  Id 3 is
+/// retired (its jump schedule is replayed by kJumping) and never reused.
 enum class PlanEngine : std::uint32_t {
   kElementwise = 0,
   kJumping = 1,
@@ -75,7 +75,17 @@ enum class PlanEngine : std::uint32_t {
 /// chain-structured ordinary systems take the kScan fast route.
 /// The rest force one engine (the ordinary engines require h = g with
 /// injective g; kScan additionally requires the chain structure).
-enum class EngineChoice { kAuto, kElementwise, kJumping, kBlocked, kGeneralCap, kScan };
+///
+/// The values are mixed into every plan cache key and recorded in .irplan
+/// headers (core/plan_io.hpp), so they must never be renumbered.
+enum class EngineChoice : std::uint32_t {
+  kAuto = 0,
+  kElementwise = 1,
+  kJumping = 2,
+  kBlocked = 3,
+  kGeneralCap = 4,
+  kScan = 5,
+};
 
 /// The one engine-name table of every user-facing surface (irtool's
 /// --engine, the service's engine= attribute): auto, elementwise, jumping,
@@ -234,7 +244,7 @@ struct Plan {
   /// True when the pred forest is pure f(i) = i-1 chains — the structure
   /// the kScan fast route exploits.  Set for every ordinary-engine compile
   /// (so a forced kJumping plan on a chain still reports it); surfaced by
-  /// describe(), `irtool lint --json`, and distinguished by plan_cache_key.
+  /// describe() and `irtool lint --json`.
   bool chain = false;
 
   JumpSchedule jump;                ///< kJumping
@@ -261,13 +271,12 @@ struct Plan {
 [[nodiscard]] Plan compile_plan(const GeneralIrSystem& sys, const PlanOptions& options = {});
 [[nodiscard]] Plan compile_plan(const OrdinaryIrSystem& sys, const PlanOptions& options = {});
 
-/// Cache key for (system content, structure-affecting options).  The key
-/// first resolves which route compile_plan would take and then mixes in only
-/// the option knobs that can change *that* route's compiled schedule: GIR
-/// flags are masked off ordinary/elementwise keys, block hints and the
-/// routing threshold are masked off elementwise/GIR keys, and pool identity
-/// never enters the key — only its resolved size hints do.  Two option sets
-/// that would compile byte-identical plans therefore share one cache entry.
+/// Cache key for (system content, requested options): the content hash
+/// mixed with plan_key_words(options), so building a key never resolves a
+/// route.  Option sets that compile different schedules never share a key;
+/// the converse costs memory only (kAuto and the forced engine it resolves
+/// to are two entries).  Pool identity never enters the key — only its
+/// resolved size hints do.
 [[nodiscard]] std::uint64_t plan_cache_key(const GeneralIrSystem& sys,
                                            const PlanOptions& options);
 [[nodiscard]] std::uint64_t plan_cache_key(const OrdinaryIrSystem& sys,
@@ -291,27 +300,30 @@ struct PlanKeyCheck {
 [[nodiscard]] PlanKeyCheck plan_key_check(const OrdinaryIrSystem& sys,
                                           const PlanOptions& options);
 
-/// Maximum option words any route mixes into its key (kAutoOrdinary: block
-/// hint, routing block hint, threshold bits).
-inline constexpr std::size_t kMaxPlanKeyWords = 3;
+/// Maximum option words any requested engine mixes into its key (kAuto:
+/// block hint, pool-size routing hint, threshold bits, GIR flags).
+inline constexpr std::size_t kMaxPlanKeyWords = 4;
 
-/// The resolved (route, option-word) vector both key hashes mix after the
-/// system's content identity — everything that distinguishes two compiles
-/// of the same system.  Exposed so the plan-file format can record it and a
-/// loader can re-derive the store key and check from the *embedded* system:
-/// a header whose recorded identity does not derive from its own payload is
-/// spliced or tampered and is rejected (plan_io.cpp).
+/// The (requested engine, option-word) vector both key hashes mix after the
+/// system's content identity: the requested EngineChoice plus exactly the
+/// knobs that engine's compile reads, so a forced engine ignores the rest
+/// and kAuto keys on all of them.
+///   * elementwise, jumping, scan: no words;
+///   * blocked: the resolved block count;
+///   * gir: the three GIR flags as one word;
+///   * auto: all four (block count, routing hint, threshold bits, flags).
+/// Exposed so the plan-file format can record it and a loader can re-derive
+/// the store key and check from the *embedded* system: a header whose
+/// recorded identity does not derive from its own payload is spliced or
+/// tampered and is rejected (plan_io.cpp).
 struct PlanKeyWords {
-  std::uint64_t route = 0;
-  std::uint64_t words[kMaxPlanKeyWords] = {0, 0, 0};
+  std::uint64_t engine = 0;  ///< the requested EngineChoice
+  std::uint64_t words[kMaxPlanKeyWords] = {0, 0, 0, 0};
   std::uint64_t count = 0;
   friend bool operator==(const PlanKeyWords&, const PlanKeyWords&) = default;
 };
 
-[[nodiscard]] PlanKeyWords plan_key_words(const GeneralIrSystem& sys,
-                                          const PlanOptions& options);
-[[nodiscard]] PlanKeyWords plan_key_words(const OrdinaryIrSystem& sys,
-                                          const PlanOptions& options);
+[[nodiscard]] PlanKeyWords plan_key_words(const PlanOptions& options);
 
 /// The two key hashes from already-computed ingredients.  plan_cache_key /
 /// plan_key_check are thin wrappers over these; the plan-file loader calls
@@ -323,9 +335,9 @@ struct PlanKeyWords {
 
 /// Full cache identity of (system, options) — key, collision double-check,
 /// and the option words both were derived from — computed with ONE pass over
-/// the serialized bytes and ONE route resolution.  The Solver's hot path
-/// uses this instead of separate plan_cache_key + plan_key_check calls,
-/// which would stream the system twice.
+/// the serialized bytes.  The Solver's hot path uses this instead of
+/// separate plan_cache_key + plan_key_check calls, which would stream the
+/// system twice.
 struct PlanKey {
   std::uint64_t key = 0;
   PlanKeyCheck check;

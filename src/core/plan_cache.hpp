@@ -1,11 +1,11 @@
 // Content-addressed LRU cache of compiled plans.
 //
 // Keys are plan_cache_key(system, options) — pure functions of the system's
-// serialized bytes and the structure-affecting option knobs *of the resolved
-// route*, so two textually identical systems share one plan, any content
-// mutation (or relevant routing knob) misses, and knobs the resolved route
-// never reads (e.g. GIR flags on an ordinary system) cannot cause spurious
-// misses.  Entries are shared_ptr<const
+// serialized bytes, the requested engine and the option knobs that engine's
+// compile reads, so two textually identical systems share one plan, any
+// content mutation (or knob the engine reads) misses, and knobs a forced
+// engine never reads (e.g. GIR flags under forced jumping) cannot cause
+// spurious misses.  Entries are shared_ptr<const
 // Plan>: a hit can be executed long after the entry was evicted.
 //
 // The key is a bare 64-bit hash, so every entry also stores its

@@ -37,20 +37,6 @@ constexpr std::uint32_t kEndianTag = 0x01020304u;
 
 enum SectionId : std::size_t {
   kSecSystemText = 0,
-  kSecWriteCell,
-  kSecRootCell,
-  kSecJumpDst,
-  kSecJumpSrc,
-  kSecJumpRoundBegin,
-  kSecBlockedBlocks,
-  kSecBlockedLocalPred,
-  kSecBlockedFixDst,
-  kSecBlockedFixSrc,
-  kSecBlockedFixBegin,
-  kSecScanHead,
-  kSecElementwiseCell,
-  kSecElementwiseF,
-  kSecElementwiseH,
   kSecGirCell,
   kSecGirTermBegin,
   kSecGirTermCell,
@@ -60,61 +46,43 @@ enum SectionId : std::size_t {
 };
 
 constexpr const char* kSectionNames[kSectionCount] = {
-    "system-text",        "write-cell",       "root-cell",
-    "jump-dst",           "jump-src",         "jump-round-begin",
-    "blocked-blocks",     "blocked-local-pred", "blocked-fix-dst",
-    "blocked-fix-src",    "blocked-fix-begin",  "scan-head",
-    "elementwise-cell",   "elementwise-f",    "elementwise-h",
-    "gir-cell",           "gir-term-begin",   "gir-term-cell",
-    "gir-exp-begin",      "gir-exp-limbs",
+    "system-text",    "gir-cell",      "gir-term-begin",
+    "gir-term-cell",  "gir-exp-begin", "gir-exp-limbs",
 };
 
 /// Element width of each section's payload, for the bounds gate.
-constexpr std::uint64_t kSectionElemBytes[kSectionCount] = {
-    1,  // system text
-    4, 4,                    // write/root cell
-    4, 4, 8,                 // jump dst/src/round_begin
-    24, 4, 4, 4, 8,          // blocked blocks/local_pred/fix_dst/fix_src/fix_begin
-    1,                       // scan head
-    4, 4, 4,                 // elementwise cell/f/h
-    4, 8, 4, 8, 4,           // gir cell/term_begin/term_cell/exp_begin/exp_limbs
-};
+constexpr std::uint64_t kSectionElemBytes[kSectionCount] = {1, 4, 8, 4, 8, 4};
 
 struct PlanSection {
   std::uint64_t offset;  ///< absolute file offset, 8-byte aligned
   std::uint64_t bytes;   ///< exact payload length (no padding)
 };
 
-/// Fixed scalar-stat slots (engine counters that are not tables).
+/// Fixed scalar-stat slots: the CAP counters that are not tables.
 enum ScalarId : std::size_t {
-  kScJumpPeakActive = 0,
-  kScJumpSeedOps,
-  kScBlockedPhase1Ops,
-  kScBlockedResolveRounds,
-  kScScanSegments,
-  kScScanLongest,
-  kScGirCapRounds,
+  kScGirCapRounds = 0,
   kScGirCapPeakEdges,
   kScGirLiveEquations,
-  kScalarCount = 12,  // three reserved slots
+  kScalarCount,
 };
 
 struct PlanFileHeader {
   char magic[8];
   std::uint32_t endian_tag;
   std::uint32_t version;
-  std::uint32_t engine;
-  std::uint32_t flags;  ///< bit 0 = chain
+  std::uint32_t engine;    ///< PlanEngine id; always gir-cap in v3
+  std::uint32_t reserved;  ///< zero
   std::uint64_t word_bytes;  ///< producer's sizeof(size_t)
   std::uint64_t fingerprint;
   std::uint64_t store_key;
   std::uint64_t check_bytes;
   std::uint64_t check_hash2;
-  /// The (route, option-word) vector the identity above derives from.  The
-  /// loader re-derives store_key/check from the EMBEDDED system plus these
-  /// words and rejects the file on any disagreement, so the recorded
-  /// identity can never name a different system than the payload carries.
-  std::uint64_t key_route;
+  /// The (requested engine, option-word) vector the identity above derives
+  /// from.  The loader re-derives store_key/check from the EMBEDDED system
+  /// plus these words and rejects the file on any disagreement, so the
+  /// recorded identity can never name a different system than the payload
+  /// carries.
+  std::uint64_t key_engine;
   std::uint64_t key_word_count;
   std::uint64_t key_words[kMaxPlanKeyWords];
   std::uint64_t cells;
@@ -125,16 +93,29 @@ struct PlanFileHeader {
 };
 
 static_assert(sizeof(PlanSection) == 16);
-static_assert(kMaxPlanKeyWords == 3, "header layout pins three key-word slots");
+static_assert(kMaxPlanKeyWords == 4, "header layout pins four key-word slots");
 static_assert(sizeof(PlanFileHeader) ==
-                  8 + 4 * 4 + 12 * 8 + kScalarCount * 8 + kSectionCount * 16 + 8,
+                  8 + 4 * 4 + 7 * 8 + kMaxPlanKeyWords * 8 + 2 * 8 + kScalarCount * 8 +
+                      kSectionCount * 16 + 8,
               "header must have no implicit padding");
-static_assert(sizeof(PlanFileHeader) % 8 == 0);
+static_assert(sizeof(PlanFileHeader) == 256);
 static_assert(std::is_trivially_copyable_v<PlanFileHeader>);
-static_assert(sizeof(parallel::Block) == 24 && alignof(parallel::Block) == 8,
-              "blocked-blocks section layout assumes three size_t fields");
 
 constexpr std::size_t kChecksumOffset = offsetof(PlanFileHeader, checksum);
+
+/// The loader's symbolic-check budget, in the verifier's unit (iterations ×
+/// cells of the exponent-map replay).  Large enough that an 8000 × 8000
+/// general system (6.4e7) verifies on load; a bigger plan is never stored,
+/// and a bigger file is rejected rather than trusted unchecked.
+constexpr std::size_t kLoadVerifyBudget = std::size_t{1} << 26;
+
+/// Why a gir-cap plan of this size exceeds kLoadVerifyBudget, or nullopt
+/// when it fits.
+std::optional<std::string> load_budget_refusal(std::uint64_t cells, std::uint64_t iterations) {
+  if (iterations == 0 || cells <= kLoadVerifyBudget / iterations) return std::nullopt;
+  return "a gir-cap plan of " + std::to_string(iterations) + " equations over " +
+         std::to_string(cells) + " cells is too large to verify on load";
+}
 
 [[noreturn]] void reject(const std::string& why) {
   throw support::ContractViolation("plan file rejected: " + why);
@@ -189,8 +170,20 @@ void append_table(std::string& out, PlanFileHeader& header, SectionId id,
 
 }  // namespace
 
+std::optional<std::string> plan_store_refusal(const Plan& plan) {
+  if (plan.engine != PlanEngine::kGeneralCap) {
+    return to_string(plan.engine) +
+           " plans are not stored: .irplan v3 holds gir-cap plans only (every other "
+           "route compiles faster than a stored plan verifies)";
+  }
+  return load_budget_refusal(plan.cells, plan.iterations);
+}
+
 std::string serialize_plan(const Plan& plan, const GeneralIrSystem& sys,
                            const PlanKeyWords& key_words) {
+  if (const auto refusal = plan_store_refusal(plan)) {
+    throw support::ContractViolation(*refusal);
+  }
   const ContentHash hashes = content_hash(sys);
   IR_REQUIRE(plan.fingerprint == hashes.fingerprint,
              "plan was not compiled from this system (fingerprint mismatch)");
@@ -207,25 +200,18 @@ std::string serialize_plan(const Plan& plan, const GeneralIrSystem& sys,
   header.endian_tag = kEndianTag;
   header.version = kPlanFormatVersion;
   header.engine = static_cast<std::uint32_t>(plan.engine);
-  header.flags = plan.chain ? 1u : 0u;
   header.word_bytes = sizeof(std::size_t);
   header.fingerprint = plan.fingerprint;
   header.store_key = store_key;
   header.check_bytes = check.bytes;
   header.check_hash2 = check.hash2;
-  header.key_route = key_words.route;
+  header.key_engine = key_words.engine;
   header.key_word_count = key_words.count;
   for (std::size_t w = 0; w < key_words.count; ++w) {
     header.key_words[w] = key_words.words[w];  // unused slots stay zero
   }
   header.cells = plan.cells;
   header.iterations = plan.iterations;
-  header.scalars[kScJumpPeakActive] = plan.jump.peak_active;
-  header.scalars[kScJumpSeedOps] = plan.jump.seed_ops;
-  header.scalars[kScBlockedPhase1Ops] = plan.blocked.phase1_ops;
-  header.scalars[kScBlockedResolveRounds] = plan.blocked.resolve_rounds;
-  header.scalars[kScScanSegments] = plan.scan.segments;
-  header.scalars[kScScanLongest] = plan.scan.longest;
   header.scalars[kScGirCapRounds] = plan.gir.cap_rounds;
   header.scalars[kScGirCapPeakEdges] = plan.gir.cap_peak_edges;
   header.scalars[kScGirLiveEquations] = plan.gir.live_equations;
@@ -233,27 +219,13 @@ std::string serialize_plan(const Plan& plan, const GeneralIrSystem& sys,
   std::string out(sizeof(PlanFileHeader), '\0');
   const std::string system_text = to_text(sys);
   append_section(out, header, kSecSystemText, system_text.data(), system_text.size());
-  append_table(out, header, kSecWriteCell, plan.write_cell);
-  append_table(out, header, kSecRootCell, plan.root_cell);
-  append_table(out, header, kSecJumpDst, plan.jump.dst);
-  append_table(out, header, kSecJumpSrc, plan.jump.src);
-  append_table(out, header, kSecJumpRoundBegin, plan.jump.round_begin);
-  append_table(out, header, kSecBlockedBlocks, plan.blocked.blocks);
-  append_table(out, header, kSecBlockedLocalPred, plan.blocked.local_pred);
-  append_table(out, header, kSecBlockedFixDst, plan.blocked.fix_dst);
-  append_table(out, header, kSecBlockedFixSrc, plan.blocked.fix_src);
-  append_table(out, header, kSecBlockedFixBegin, plan.blocked.fix_begin);
-  append_table(out, header, kSecScanHead, plan.scan.head);
-  append_table(out, header, kSecElementwiseCell, plan.elementwise.cell);
-  append_table(out, header, kSecElementwiseF, plan.elementwise.f);
-  append_table(out, header, kSecElementwiseH, plan.elementwise.h);
   append_table(out, header, kSecGirCell, plan.gir.cell);
   append_table(out, header, kSecGirTermBegin, plan.gir.term_begin);
   append_table(out, header, kSecGirTermCell, plan.gir.term_cell);
 
-  // The GIR exponents are the one variable-width table: a limb pool plus a
-  // per-term [begin, end) offset table into it, exactly the CSR shape the
-  // fixed-width tables use for rounds and fix-ups.
+  // The exponents are the one variable-width table: a limb pool plus a
+  // per-term [begin, end) offset table into it, the same CSR shape the
+  // term lists use.
   if (!plan.gir.term_exp.empty()) {
     std::vector<std::uint64_t> exp_begin;
     std::vector<std::uint32_t> limbs;
@@ -282,20 +254,14 @@ namespace {
 // Reader
 // ---------------------------------------------------------------------------
 
-/// The header's engine field stores the PlanEngine value, so the surviving
-/// ids are pinned here.  Id 3 was the spmd engine: it replayed the same jump
-/// schedule as jumping and was retired, so files carrying it are rejected by
-/// name and the plan is recompiled by whoever asked for it.
-static_assert(static_cast<std::uint32_t>(PlanEngine::kElementwise) == 0);
-static_assert(static_cast<std::uint32_t>(PlanEngine::kJumping) == 1);
-static_assert(static_cast<std::uint32_t>(PlanEngine::kBlocked) == 2);
+/// The header's engine field stores the PlanEngine value; v3 files carry
+/// gir-cap only.
 static_assert(static_cast<std::uint32_t>(PlanEngine::kGeneralCap) == 4);
-static_assert(static_cast<std::uint32_t>(PlanEngine::kScan) == 5);
-constexpr std::uint32_t kRetiredSpmdEngineId = 3;
 
 /// Header + bounds + checksum gate.  Everything here runs before any table
 /// pointer is formed, so a hostile file cannot steer a single read outside
-/// [data, data+size).
+/// [data, data+size).  The version and engine gates run before the
+/// checksum, so a stale file is named for what it is, not as corrupt.
 PlanFileHeader validate_structure(const unsigned char* data, std::size_t size) {
   if (size < sizeof(PlanFileHeader)) {
     reject("truncated: " + std::to_string(size) + " bytes, header needs " +
@@ -309,6 +275,10 @@ PlanFileHeader validate_structure(const unsigned char* data, std::size_t size) {
   if (header.endian_tag != kEndianTag) {
     reject("foreign byte order (endianness tag mismatch); re-export on this platform");
   }
+  if (header.version == 2) {
+    reject("format version 2 stored ordinary plans; v3 holds gir-cap plans only — "
+           "recompile");
+  }
   if (header.version != kPlanFormatVersion) {
     reject("format version " + std::to_string(header.version) + ", reader supports " +
            std::to_string(kPlanFormatVersion));
@@ -317,12 +287,9 @@ PlanFileHeader validate_structure(const unsigned char* data, std::size_t size) {
     reject("word size " + std::to_string(header.word_bytes) + " bytes, platform has " +
            std::to_string(sizeof(std::size_t)));
   }
-  if (header.engine == kRetiredSpmdEngineId) {
-    reject("engine id 3 is the retired spmd engine; re-export the plan (jumping "
-           "replays the same schedule)");
-  }
-  if (header.engine > static_cast<std::uint32_t>(PlanEngine::kScan)) {
-    reject("unknown engine id " + std::to_string(header.engine));
+  if (header.engine != static_cast<std::uint32_t>(PlanEngine::kGeneralCap)) {
+    reject("engine id " + std::to_string(header.engine) +
+           " is not gir-cap; v3 holds gir-cap plans only — recompile");
   }
   const std::uint64_t checksum = file_checksum(data, size);
   if (checksum != header.checksum) {
@@ -356,16 +323,14 @@ void borrow_table(PlanTable<T>& table, const unsigned char* data,
   table.borrow(reinterpret_cast<const T*>(data + sec.offset), sec.bytes / sizeof(T));
 }
 
-}  // namespace
-
-namespace {
-
 /// Shared loader core: structural gate, embedded-system round trip, table
-/// borrowing, then the static verifier.
+/// borrowing, then the full static verifier.
 LoadedPlan load_plan_bytes(const unsigned char* data, std::size_t size,
-                           std::shared_ptr<const void> backing,
-                           const PlanLoadOptions& options) {
+                           std::shared_ptr<const void> backing) {
   const PlanFileHeader header = validate_structure(data, size);
+  if (const auto too_large = load_budget_refusal(header.cells, header.iterations)) {
+    reject(*too_large);
+  }
 
   // Parse the embedded system and tie the knot: the header fingerprint must
   // be the fingerprint of exactly those bytes, or the plan and "its" system
@@ -387,17 +352,26 @@ LoadedPlan load_plan_bytes(const unsigned char* data, std::size_t size,
     reject("header cells/iterations disagree with the embedded system");
   }
 
+  // Only kAuto and forced gir compile gir-cap plans, and each records a
+  // fixed number of option words (plan_key_words).
+  const bool auto_key = header.key_engine == static_cast<std::uint64_t>(EngineChoice::kAuto);
+  if (!auto_key && header.key_engine != static_cast<std::uint64_t>(EngineChoice::kGeneralCap)) {
+    reject("requested engine id " + std::to_string(header.key_engine) +
+           " never compiles a gir-cap plan");
+  }
+  const EngineChoice requested = auto_key ? EngineChoice::kAuto : EngineChoice::kGeneralCap;
+  if (header.key_word_count != plan_key_words({.engine = requested}).count) {
+    reject("key-word count " + std::to_string(header.key_word_count) +
+           " does not match the requested engine");
+  }
+
   // Re-derive the cache identity from the EMBEDDED system plus the recorded
   // key words, and demand the header recorded exactly that.  This ties
   // store_key/check to the payload itself: a spliced file — one system's
   // verified plan wearing another system's key and check, checksum resealed
   // — fails here and is never served for the wrong system.
-  if (header.key_word_count > kMaxPlanKeyWords) {
-    reject("key-word count " + std::to_string(header.key_word_count) +
-           " exceeds the format's " + std::to_string(kMaxPlanKeyWords) + " slots");
-  }
   PlanKeyWords key_words;
-  key_words.route = header.key_route;
+  key_words.engine = header.key_engine;
   key_words.count = header.key_word_count;
   for (std::size_t w = 0; w < key_words.count; ++w) {
     key_words.words[w] = header.key_words[w];
@@ -413,8 +387,7 @@ LoadedPlan load_plan_bytes(const unsigned char* data, std::size_t size,
   }
 
   auto plan = std::make_shared<Plan>();
-  plan->engine = static_cast<PlanEngine>(header.engine);
-  plan->chain = (header.flags & 1u) != 0;
+  plan->engine = PlanEngine::kGeneralCap;
   plan->fingerprint = header.fingerprint;
   plan->cells = header.cells;
   plan->iterations = header.iterations;
@@ -422,39 +395,17 @@ LoadedPlan load_plan_bytes(const unsigned char* data, std::size_t size,
   // construction, and recomputing it from the embedded system keeps the
   // verifier's routing-consistency lint honest against file tampering.
   plan->report = analyze(loaded.system);
-  plan->jump.peak_active = header.scalars[kScJumpPeakActive];
-  plan->jump.seed_ops = header.scalars[kScJumpSeedOps];
-  plan->blocked.phase1_ops = header.scalars[kScBlockedPhase1Ops];
-  plan->blocked.resolve_rounds = header.scalars[kScBlockedResolveRounds];
-  plan->scan.segments = header.scalars[kScScanSegments];
-  plan->scan.longest = header.scalars[kScScanLongest];
   plan->gir.cap_rounds = header.scalars[kScGirCapRounds];
   plan->gir.cap_peak_edges = header.scalars[kScGirCapPeakEdges];
   plan->gir.live_equations = header.scalars[kScGirLiveEquations];
 
-  borrow_table(plan->write_cell, data, header.sections[kSecWriteCell]);
-  borrow_table(plan->root_cell, data, header.sections[kSecRootCell]);
-  borrow_table(plan->jump.dst, data, header.sections[kSecJumpDst]);
-  borrow_table(plan->jump.src, data, header.sections[kSecJumpSrc]);
-  if (header.sections[kSecJumpRoundBegin].bytes != 0) {
-    borrow_table(plan->jump.round_begin, data, header.sections[kSecJumpRoundBegin]);
-  }
-  borrow_table(plan->blocked.blocks, data, header.sections[kSecBlockedBlocks]);
-  borrow_table(plan->blocked.local_pred, data, header.sections[kSecBlockedLocalPred]);
-  borrow_table(plan->blocked.fix_dst, data, header.sections[kSecBlockedFixDst]);
-  borrow_table(plan->blocked.fix_src, data, header.sections[kSecBlockedFixSrc]);
-  borrow_table(plan->blocked.fix_begin, data, header.sections[kSecBlockedFixBegin]);
-  borrow_table(plan->scan.head, data, header.sections[kSecScanHead]);
-  borrow_table(plan->elementwise.cell, data, header.sections[kSecElementwiseCell]);
-  borrow_table(plan->elementwise.f, data, header.sections[kSecElementwiseF]);
-  borrow_table(plan->elementwise.h, data, header.sections[kSecElementwiseH]);
   borrow_table(plan->gir.cell, data, header.sections[kSecGirCell]);
   if (header.sections[kSecGirTermBegin].bytes != 0) {
     borrow_table(plan->gir.term_begin, data, header.sections[kSecGirTermBegin]);
   }
   borrow_table(plan->gir.term_cell, data, header.sections[kSecGirTermCell]);
 
-  // Materialize the GIR exponents from the limb pool (the one non-borrowed
+  // Materialize the exponents from the limb pool (the one non-borrowed
   // table).  The CSR offsets are untrusted: monotone + in-bounds or reject.
   const PlanSection& exp_begin_sec = header.sections[kSecGirExpBegin];
   const PlanSection& limb_sec = header.sections[kSecGirExpLimbs];
@@ -489,18 +440,21 @@ LoadedPlan load_plan_bytes(const unsigned char* data, std::size_t size,
 
   plan->backing = std::move(backing);
 
-  if (options.verify) {
-    // Lint + hazard families over the borrowed tables, against the embedded
-    // system — the gate that catches in-bounds tampering (a flipped index
-    // that still lands inside the value array) the structural checks above
-    // cannot see.  Symbolic replay is skipped: it exists to catch schedule-
-    // builder bugs, not file corruption, and would dominate load time.
-    verify::VerifyOptions vopts;
-    vopts.check_symbolic = false;
-    const verify::VerifyReport report = verify::verify_plan(*plan, loaded.system, vopts);
-    if (!report.ok()) {
-      reject("static verification failed: " + report.summary());
-    }
+  // Every verifier family against the embedded system.  Bounds, zero
+  // exponents and distinct write cells catch a table entry pushed out of
+  // range; only the symbolic check — the plan replayed over cell->exponent
+  // maps and compared with the sequential loop — catches an in-range
+  // tamper: a term_cell moved to another valid cell, or an exponent off by
+  // one.  The budget check above keeps it from skipping; should it skip
+  // anyway, the tables went unchecked, so that is a reject too.
+  verify::VerifyOptions vopts;
+  vopts.max_symbolic_terms = kLoadVerifyBudget;
+  const verify::VerifyReport report = verify::verify_plan(*plan, loaded.system, vopts);
+  if (!report.ok()) {
+    reject("static verification failed: " + report.summary());
+  }
+  if (report.symbolic_skipped) {
+    reject("too large to verify on load: " + report.symbolic_skip_reason);
   }
 
   loaded.plan = std::move(plan);
@@ -512,13 +466,11 @@ LoadedPlan load_plan_bytes(const unsigned char* data, std::size_t size,
 
 }  // namespace
 
-LoadedPlan load_plan(std::shared_ptr<const std::string> bytes,
-                     const PlanLoadOptions& options) {
+LoadedPlan load_plan(std::shared_ptr<const std::string> bytes) {
   IR_REQUIRE(bytes != nullptr, "load_plan needs a buffer");
   const auto* data = reinterpret_cast<const unsigned char*>(bytes->data());
   const std::size_t size = bytes->size();
-  return load_plan_bytes(data, size, std::shared_ptr<const void>(bytes, bytes.get()),
-                         options);
+  return load_plan_bytes(data, size, std::shared_ptr<const void>(bytes, bytes.get()));
 }
 
 namespace {
@@ -567,12 +519,12 @@ class FileMapping {
 
 }  // namespace
 
-LoadedPlan load_plan_file(const std::string& path, const PlanLoadOptions& options) {
+LoadedPlan load_plan_file(const std::string& path) {
   auto mapping = std::make_shared<const FileMapping>(path);
   const unsigned char* data = mapping->data();
   const std::size_t size = mapping->size();
   if (data == nullptr) reject(path + " is empty");
-  return load_plan_bytes(data, size, std::move(mapping), options);
+  return load_plan_bytes(data, size, std::move(mapping));
 }
 
 PlanFileInfo plan_file_info(const std::string& path) {
@@ -582,7 +534,7 @@ PlanFileInfo plan_file_info(const std::string& path) {
   PlanFileInfo info;
   info.version = header.version;
   info.engine = static_cast<PlanEngine>(header.engine);
-  info.chain = (header.flags & 1u) != 0;
+  info.requested = header.key_engine;
   info.fingerprint = header.fingerprint;
   info.store_key = header.store_key;
   info.check = PlanKeyCheck{header.check_bytes, header.check_hash2};
@@ -722,8 +674,8 @@ std::vector<PlanStore::ManifestEntry> PlanStore::manifest() const {
     }
     try {
       const PlanFileInfo info = plan_file_info(entry.path().string());
-      out.push_back({entry.path().string(), info.store_key, info.fingerprint,
-                     info.engine, info.cells, info.iterations, info.file_bytes});
+      out.push_back({entry.path().string(), info.store_key, info.fingerprint, info.cells,
+                     info.iterations, info.file_bytes});
     } catch (const PlanFileMissing&) {
       // Deleted between the directory scan and the open: not a corruption.
     } catch (const std::exception&) {

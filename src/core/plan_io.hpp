@@ -1,32 +1,36 @@
 // Binary plan format + on-disk plan store (docs/plan_store.md).
 //
-// Compiled plans are pure functions of (system content, routing options), so
-// they are durable artifacts: compile once, persist, and every later process
-// — an irserve restart, a future shard fleet sharing one read-only store —
-// replays the schedule without paying analysis or schedule construction
-// again.  The format is designed around the fact that every schedule table
-// is already a flat array (uint32 indices, size_t offsets, uint8 flags):
+// Compiled plans are pure functions of (system content, requested options),
+// so they are durable artifacts: compile once, persist, and every later
+// process — an irserve restart, a shard fleet sharing one read-only store —
+// replays the schedule without rebuilding it.  Only gir-cap plans are
+// stored: the CAP closure is the expensive build, while an ordinary
+// schedule compiles faster than its file verifies, so ordinary systems
+// recompile after a restart.  The format is designed around the fact that
+// the CAP tables are flat arrays (uint32 cells, size_t offsets):
 //
 //   * versioned + endianness-tagged header with per-section offset/length
 //     table and a whole-file checksum;
-//   * every section 8-byte aligned, so a loaded Plan BORROWS its tables
-//     straight out of the mapping (PlanTable's borrowing state — zero copy,
-//     no deserialization of table payloads).  The one exception is the GIR
-//     exponent table, whose arbitrary-precision values are materialized
-//     from the file's limb pool;
+//   * every section 8-byte aligned, so a loaded Plan BORROWS its cell and
+//     offset tables straight out of the mapping (PlanTable's borrowing state
+//     — zero copy).  The exponent table, whose arbitrary-precision values
+//     are materialized from the file's limb pool, is the one copy;
 //   * the source system is embedded as its canonical ir-system v1 text, so
-//     a plan file is self-contained: the loader re-derives the fingerprint
-//     and the SystemReport and can run the full static verifier against it.
+//     a plan file is self-contained: the loader re-derives the fingerprint,
+//     the cache identity and the SystemReport, and runs the full static
+//     verifier against it.
 //
 // Trust model: plan files are data, not code, and are treated as untrusted.
 // Loading validates the header, the checksum, and every section bound
-// before touching a table, then runs verify_plan() (precondition lint +
-// PRAM hazard analysis) against the embedded system.  A corrupt, truncated,
-// or tampered file is rejected with a reason — never executed.
+// before touching a table, then runs verify_plan() — bounds, preconditions,
+// hazards AND the symbolic exponent check — against the embedded system.
+// A corrupt, truncated, or tampered file is rejected with a reason — never
+// executed.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -38,28 +42,21 @@ namespace ir::core {
 
 /// Bumped on any layout change; readers reject other versions (the format
 /// is an artifact cache, not an archival interchange format — recompiling
-/// is always safe, so there is no cross-version migration).
-inline constexpr std::uint32_t kPlanFormatVersion = 2;
+/// is always safe, so there is no cross-version migration).  Version 2
+/// files, which also stored ordinary plans, are rejected by name.
+inline constexpr std::uint32_t kPlanFormatVersion = 3;
 
 /// File extension the store uses for its entries.
 inline constexpr const char* kPlanFileExtension = ".irplan";
 
-/// Load-time policy.  Structural validation (header, bounds, checksum,
-/// fingerprint) always runs; `verify` additionally runs the static verifier
-/// (lint + hazard families) against the embedded system before the plan is
-/// released to callers.  Turning it off is for benchmarking the raw load
-/// path only.
-struct PlanLoadOptions {
-  bool verify = true;
-};
-
-/// A plan loaded from the binary format.  `plan->backing` owns the mapping
-/// (or buffer) the schedule tables point into; the system is parsed from
-/// the embedded canonical text (it is what verify ran against).  The cache
-/// identity is NOT taken on faith from the header: the loader re-derives
-/// store_key/check from the embedded system plus the recorded key words and
-/// rejects the file when the header disagrees, so a spliced file (one
-/// system's plan under another's identity) can never be served.
+/// A plan loaded from the binary format (always gir-cap).  `plan->backing`
+/// owns the mapping (or buffer) the schedule tables point into; the system
+/// is parsed from the embedded canonical text (it is what verify ran
+/// against).  The cache identity is NOT taken on faith from the header: the
+/// loader re-derives store_key/check from the embedded system plus the
+/// recorded key words and rejects the file when the header disagrees, so a
+/// spliced file (one system's plan under another's identity) can never be
+/// served.
 struct LoadedPlan {
   std::shared_ptr<const Plan> plan;
   GeneralIrSystem system;
@@ -68,32 +65,40 @@ struct LoadedPlan {
   PlanKeyWords key_words;       ///< the option words the identity derives from
 };
 
+/// Why `plan` cannot be stored, or nullopt when it can: v3 files hold only
+/// gir-cap plans, and only those whose symbolic check fits the loader's
+/// fixed budget — a store never writes an entry its own loader would
+/// refuse.  serialize_plan and PlanStore::put throw with this reason; the
+/// Solver's write-through skips such plans.
+[[nodiscard]] std::optional<std::string> plan_store_refusal(const Plan& plan);
+
 /// Serialize `plan` (+ its source system and cache identity) to the binary
-/// plan format.  `key_words` is plan_key_words(system, options) of the pair
-/// the plan was compiled from; the store key and check are derived from it
-/// and the system *inside* this function, so a file's recorded identity is
-/// consistent with its payload by construction.
+/// plan format.  `key_words` is plan_key_words(options) of the options the
+/// plan was compiled under; the store key and check are derived from it and
+/// the system *inside* this function, so a file's recorded identity is
+/// consistent with its payload by construction.  Throws
+/// support::ContractViolation with plan_store_refusal's reason for a plan
+/// the format does not hold.
 [[nodiscard]] std::string serialize_plan(const Plan& plan, const GeneralIrSystem& sys,
                                          const PlanKeyWords& key_words);
 
-/// Validate + load a plan from an in-memory buffer, zero-copy: the returned
-/// plan's tables alias `bytes`' storage, kept alive via Plan::backing.
-/// Throws support::ContractViolation with a reason on any defect.
-[[nodiscard]] LoadedPlan load_plan(std::shared_ptr<const std::string> bytes,
-                                   const PlanLoadOptions& options = {});
+/// Validate + verify + load a plan from an in-memory buffer, zero-copy: the
+/// returned plan's tables alias `bytes`' storage, kept alive via
+/// Plan::backing.  Throws support::ContractViolation with a reason on any
+/// defect.
+[[nodiscard]] LoadedPlan load_plan(std::shared_ptr<const std::string> bytes);
 
 /// mmap `path` read-only and load zero-copy (the mapping lives as long as
 /// the returned plan).  Throws support::ContractViolation on I/O errors and
 /// every defect load_plan rejects.
-[[nodiscard]] LoadedPlan load_plan_file(const std::string& path,
-                                        const PlanLoadOptions& options = {});
+[[nodiscard]] LoadedPlan load_plan_file(const std::string& path);
 
 /// Header facts of a plan file (checksum verified, tables untouched) — the
 /// `irtool plan info` view.
 struct PlanFileInfo {
   std::uint32_t version = 0;
-  PlanEngine engine = PlanEngine::kJumping;
-  bool chain = false;
+  PlanEngine engine = PlanEngine::kGeneralCap;
+  std::uint64_t requested = 0;  ///< EngineChoice id the store key was built for
   std::uint64_t fingerprint = 0;
   std::uint64_t store_key = 0;
   PlanKeyCheck check;
@@ -133,9 +138,10 @@ class PlanStore {
   /// Path a key's entry lives at (whether or not it exists yet).
   [[nodiscard]] std::string entry_path(std::uint64_t key) const;
 
-  /// Persist a compiled plan under the key derived from (`sys`,
+  /// Persist a compiled gir-cap plan under the key derived from (`sys`,
   /// `key_words`); returns the final path.  Throws
-  /// support::ContractViolation on I/O failure.
+  /// support::ContractViolation on I/O failure and, before touching the
+  /// directory, with plan_store_refusal's reason for any other plan.
   std::string put(const PlanKeyWords& key_words, const Plan& plan,
                   const GeneralIrSystem& sys);
 
@@ -149,7 +155,6 @@ class PlanStore {
     std::string path;
     std::uint64_t store_key = 0;
     std::uint64_t fingerprint = 0;
-    PlanEngine engine = PlanEngine::kJumping;
     std::uint64_t cells = 0;
     std::uint64_t iterations = 0;
     std::uint64_t file_bytes = 0;

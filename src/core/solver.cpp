@@ -107,7 +107,10 @@ std::shared_ptr<const Plan> Solver::compile_impl(const System& sys,
 #if defined(IR_VERIFY_PLANS_ENABLED)
     verify_before_insert(*plan, sys);
 #endif
-    if (config_.plan_store != nullptr && config_.store_writes) {
+    // Only gir-cap plans are stored (plan_store_refusal): an ordinary plan
+    // compiles faster than a stored one verifies, so it is recompiled after
+    // a restart instead.
+    if (config_.plan_store != nullptr && config_.store_writes && !plan_store_refusal(*plan)) {
       // Best-effort: a full disk or unwritable store must not fail the
       // solve that just compiled a perfectly good plan.
       try {

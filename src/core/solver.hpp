@@ -35,9 +35,11 @@ struct SolverConfig {
   /// Optional on-disk plan store (core/plan_io.hpp), borrowed — must outlive
   /// the solver.  compile() falls back to the store on a cache miss before
   /// compiling (every store load re-validates and re-verifies the file), and
-  /// write-through persists freshly compiled plans for future processes.
+  /// write-through persists freshly compiled gir-cap plans for future
+  /// processes.  Ordinary plans are never stored: their keys miss the store
+  /// and they compile (plan_io.hpp's plan_store_refusal).
   PlanStore* plan_store = nullptr;
-  bool store_writes = true;  ///< persist fresh compiles when a store is attached
+  bool store_writes = true;  ///< persist fresh gir-cap compiles when a store is attached
 };
 
 /// Plan-cache capacity from the IR_PLAN_CACHE_CAP environment variable, or
@@ -62,7 +64,8 @@ class Solver {
   /// compile (plan_compiles() counts the builds that actually ran; misses()
   /// counts cache lookups that missed, which can exceed it under races).
   /// With a plan store attached, the single-flight leader tries the store
-  /// before compiling, so a warm store satisfies misses without a compile.
+  /// before compiling, so a warm store satisfies gir-cap misses without a
+  /// compile.
   [[nodiscard]] std::shared_ptr<const Plan> compile(const GeneralIrSystem& sys,
                                                     const PlanOptions& options = {});
   [[nodiscard]] std::shared_ptr<const Plan> compile(const OrdinaryIrSystem& sys,

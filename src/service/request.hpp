@@ -201,14 +201,15 @@ struct ServiceConfig {
 
   /// Optional on-disk plan store (core/plan_io.hpp; borrowed, must outlive
   /// the server).  The server's Solver falls back to it on cache misses
-  /// before compiling, and writes fresh compiles through unless
+  /// before compiling, and writes fresh gir-cap compiles through unless
   /// `store_writes` is off.
   core::PlanStore* plan_store = nullptr;
   bool store_writes = true;
 
   /// Preload every store entry into the plan cache at construction: a
-  /// restarted server serves its existing working set with zero compiles
-  /// (irserve --warm-start).  Requires `plan_store`.
+  /// restarted server serves its gir-cap systems with zero compiles and
+  /// compiles each ordinary system once, since the store holds gir-cap
+  /// plans only (irserve --warm-start).  Requires `plan_store`.
   bool warm_start = false;
 };
 

@@ -55,8 +55,10 @@ class ShardRouter {
     }
   }
 
-  /// The shard `request` routes to (pure function of system + options).
+  /// The shard `request` routes to (pure function of system + options).  A
+  /// ring of one always answers 0, so the key is not hashed at all.
   [[nodiscard]] std::size_t shard_for(const Request& request) const {
+    if (shards_.size() == 1) return 0;
     core::PlanOptions options = request.plan;
     options.pool = nullptr;  // the server nulls it too; keep the key canonical
     return ring_.shard_for(core::plan_cache_key(request.sys, options));

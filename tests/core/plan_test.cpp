@@ -180,6 +180,7 @@ TEST(PlanTest, RejectsNonInjectiveGOnOrdinaryCompile) {
 }
 
 TEST(PlanTest, CacheKeySeparatesStructureAffectingOptions) {
+  // Option sets that compile different schedules never share a key.
   support::SplitMix64 rng(77);
   const auto sys = testing::random_ordinary_system(50, 80, rng, 0.8);
 
@@ -195,25 +196,41 @@ TEST(PlanTest, CacheKeySeparatesStructureAffectingOptions) {
   eight_blocks.blocks = 8;
   EXPECT_NE(plan_cache_key(sys, four_blocks), plan_cache_key(sys, eight_blocks));
 
+  // kAuto's blocked-vs-jumping choice reads the threshold.
+  PlanOptions low_threshold;
+  low_threshold.blocked_threshold = 0.1;
+  PlanOptions high_threshold;
+  high_threshold.blocked_threshold = 0.9;
+  EXPECT_NE(plan_cache_key(sys, low_threshold), plan_cache_key(sys, high_threshold));
+
+  // Each GIR flag splits the key under both kAuto and forced gir.
+  const auto gir = testing::random_general_system(40, 30, rng, 0.7);
+  for (const EngineChoice engine : {EngineChoice::kAuto, EngineChoice::kGeneralCap}) {
+    SCOPED_TRACE(static_cast<int>(engine));
+    const PlanOptions base{.engine = engine};
+    PlanOptions no_prune = base;
+    no_prune.prune_dead = false;
+    PlanOptions late = base;
+    late.coalesce_each_round = false;
+    PlanOptions dp = base;
+    dp.reference_counts = true;
+    for (const PlanOptions& flag : {no_prune, late, dp}) {
+      EXPECT_NE(plan_cache_key(gir, base), plan_cache_key(gir, flag));
+    }
+  }
+
   // Distinct content never collides on the same options (smoke check).
   auto mutated = sys;
   mutated.f[3] = (mutated.f[3] + 1) % mutated.cells;
   EXPECT_NE(plan_cache_key(sys, jumping), plan_cache_key(mutated, jumping));
 }
 
-TEST(PlanTest, CacheKeyMasksOptionsTheResolvedRouteNeverReads) {
+TEST(PlanTest, CacheKeyMasksOptionsTheRequestedEngineNeverReads) {
   support::SplitMix64 rng(78);
   const auto ord = testing::random_ordinary_system(60, 90, rng, 0.8);
 
-  // GIR-only flags must not perturb keys of systems that route ordinary.
-  PlanOptions base;  // kAuto
-  PlanOptions gir_flags = base;
-  gir_flags.prune_dead = !base.prune_dead;
-  gir_flags.coalesce_each_round = !base.coalesce_each_round;
-  gir_flags.reference_counts = !base.reference_counts;
-  EXPECT_EQ(plan_cache_key(ord, base), plan_cache_key(ord, gir_flags));
-
-  // Forced jumping schedules read no block hint or threshold either.
+  // A forced engine ignores every knob its compile never reads: jumping
+  // reads none, blocked only its block count, gir only its three flags.
   PlanOptions jumping;
   jumping.engine = EngineChoice::kJumping;
   PlanOptions jumping_hints = jumping;
@@ -222,21 +239,45 @@ TEST(PlanTest, CacheKeyMasksOptionsTheResolvedRouteNeverReads) {
   jumping_hints.prune_dead = false;
   EXPECT_EQ(plan_cache_key(ord, jumping), plan_cache_key(ord, jumping_hints));
 
-  // Block hints must not perturb keys of systems that route elementwise.
-  GeneralIrSystem streaming{8, {6, 7}, {0, 1}, {6, 6}};
-  PlanOptions hints;
-  hints.blocks = 8;
-  hints.blocked_threshold = 0.5;
-  EXPECT_EQ(plan_cache_key(streaming, PlanOptions{}), plan_cache_key(streaming, hints));
+  PlanOptions blocked{.engine = EngineChoice::kBlocked, .blocks = 4};
+  PlanOptions blocked_hints = blocked;
+  blocked_hints.blocked_threshold = 0.5;
+  blocked_hints.reference_counts = true;
+  EXPECT_EQ(plan_cache_key(ord, blocked), plan_cache_key(ord, blocked_hints));
 
-  // Conversely a knob the route *does* read still splits the key.
   const auto gir = testing::random_general_system(40, 30, rng, 0.7);
-  PlanOptions dp;
-  dp.reference_counts = true;
-  EXPECT_NE(plan_cache_key(gir, PlanOptions{}), plan_cache_key(gir, dp));
-  PlanOptions gir_block_hints;
+  PlanOptions forced_gir;
+  forced_gir.engine = EngineChoice::kGeneralCap;
+  PlanOptions gir_block_hints = forced_gir;
   gir_block_hints.blocks = 32;
-  EXPECT_EQ(plan_cache_key(gir, PlanOptions{}), plan_cache_key(gir, gir_block_hints));
+  gir_block_hints.blocked_threshold = 0.5;
+  EXPECT_EQ(plan_cache_key(gir, forced_gir), plan_cache_key(gir, gir_block_hints));
+
+  // kAuto keys on every knob, even those the route it resolves to never
+  // reads: the key is built without resolving the route.
+  PlanOptions gir_flags;
+  gir_flags.reference_counts = true;
+  EXPECT_NE(plan_cache_key(ord, PlanOptions{}), plan_cache_key(ord, gir_flags));
+  PlanOptions block_hint;
+  block_hint.blocks = 8;
+  EXPECT_NE(plan_cache_key(gir, PlanOptions{}), plan_cache_key(gir, block_hint));
+
+  // The requested engine itself is part of the key: kAuto and the forced
+  // engine it resolves to are two entries.
+  const Plan auto_plan = compile_plan(gir);
+  ASSERT_EQ(auto_plan.engine, PlanEngine::kGeneralCap);
+  EXPECT_NE(plan_cache_key(gir, PlanOptions{}), plan_cache_key(gir, forced_gir));
+
+  // The words are a function of the options alone, and the ordinary
+  // overload keys exactly like the GIR embedding it serializes as.
+  EXPECT_EQ(plan_key_words(PlanOptions{}).count, kMaxPlanKeyWords);
+  EXPECT_EQ(plan_key_words(jumping).count, 0u);
+  EXPECT_EQ(plan_key_words(blocked).count, 1u);
+  EXPECT_EQ(plan_key_words(forced_gir).count, 1u);
+  const PlanKey ord_key = plan_key(ord, blocked);
+  EXPECT_EQ(ord_key.key, plan_cache_key(GeneralIrSystem::from_ordinary(ord), blocked));
+  EXPECT_TRUE(ord_key.check == plan_key_check(GeneralIrSystem::from_ordinary(ord), blocked));
+  EXPECT_TRUE(ord_key.words == plan_key_words(blocked));
 }
 
 }  // namespace

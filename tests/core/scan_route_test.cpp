@@ -134,12 +134,23 @@ TEST(ScanRouteTest, CacheKeySeparatesScanFromOtherRoutes) {
   PlanOptions jumping_forced;
   jumping_forced.engine = EngineChoice::kJumping;
 
-  // Auto on a chain resolves to the scan route, so it shares the forced-scan
-  // key (content-only: the scan schedule depends on no tuning knob) and must
-  // never collide with a forced jumping plan for the same system.
+  // Keys carry the requested engine, not the resolved route: auto on a
+  // chain resolves to the scan route yet keeps its own entry (memory, not
+  // correctness — both compile the same schedule), and neither may ever
+  // collide with a forced jumping plan for the same system.
+  ASSERT_EQ(compile_plan(chain).engine, PlanEngine::kScan);
   const auto auto_key = plan_cache_key(chain, PlanOptions{});
-  EXPECT_EQ(auto_key, plan_cache_key(chain, scan_forced));
+  const auto scan_key = plan_cache_key(chain, scan_forced);
+  EXPECT_NE(auto_key, scan_key);
   EXPECT_NE(auto_key, plan_cache_key(chain, jumping_forced));
+  EXPECT_NE(scan_key, plan_cache_key(chain, jumping_forced));
+
+  // Forced scan reads no tuning knob, so every knob shares its entry.
+  PlanOptions scan_hints = scan_forced;
+  scan_hints.blocks = 8;
+  scan_hints.blocked_threshold = 0.5;
+  scan_hints.prune_dead = false;
+  EXPECT_EQ(scan_key, plan_cache_key(chain, scan_hints));
 
   // Non-chain ordinary systems keep the pre-scan auto key behaviour.
   support::SplitMix64 rng(11);

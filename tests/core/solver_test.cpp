@@ -65,38 +65,30 @@ TEST(SolverTest, DistinctOptionsGetDistinctPlans) {
   EXPECT_EQ(b->engine, PlanEngine::kBlocked);
 }
 
-TEST(SolverTest, RouteIrrelevantOptionsHitTheSameCacheEntry) {
-  // The cache key masks knobs the resolved route never reads, so flipping
-  // GIR-only flags on an ordinary-routed system must be a hit, not a second
-  // compile of a byte-identical plan.
+TEST(SolverTest, OptionsTheRequestedEngineNeverReadsHitTheSameCacheEntry) {
+  // The cache key carries the requested engine plus exactly the knobs that
+  // engine's compile reads, so a forced engine under knobs it never reads
+  // is a hit, not a second compile of a byte-identical plan.
   support::SplitMix64 rng(87);
   const auto sys = testing::random_ordinary_system(120, 180, rng, 0.8);
   Solver solver;
-  (void)solver.compile(sys);
-  EXPECT_EQ(solver.plan_cache().misses(), 1u);
 
-  PlanOptions gir_flags;
-  gir_flags.prune_dead = false;
-  gir_flags.coalesce_each_round = false;
-  gir_flags.reference_counts = true;
-  (void)solver.compile(sys, gir_flags);
+  // Forced jumping ignores block hints, the routing threshold and the GIR
+  // flags.
+  PlanOptions jumping;
+  jumping.engine = EngineChoice::kJumping;
+  (void)solver.compile(sys, jumping);
+  EXPECT_EQ(solver.plan_cache().misses(), 1u);
+  PlanOptions jumping_hints = jumping;
+  jumping_hints.blocks = 16;
+  jumping_hints.blocked_threshold = 0.75;
+  jumping_hints.reference_counts = true;
+  (void)solver.compile(sys, jumping_hints);
   EXPECT_EQ(solver.plan_cache().hits(), 1u);
   EXPECT_EQ(solver.plan_cache().misses(), 1u);
   EXPECT_EQ(solver.plan_cache().size(), 1u);
 
-  // Forced jumping ignores block hints and the routing threshold as well.
-  PlanOptions jumping;
-  jumping.engine = EngineChoice::kJumping;
-  (void)solver.compile(sys, jumping);
-  EXPECT_EQ(solver.plan_cache().misses(), 2u);
-  PlanOptions jumping_hints = jumping;
-  jumping_hints.blocks = 16;
-  jumping_hints.blocked_threshold = 0.75;
-  (void)solver.compile(sys, jumping_hints);
-  EXPECT_EQ(solver.plan_cache().hits(), 2u);
-  EXPECT_EQ(solver.plan_cache().misses(), 2u);
-
-  // A knob the resolved route does read still misses.
+  // A knob the requested engine does read still misses.
   PlanOptions blocked;
   blocked.engine = EngineChoice::kBlocked;
   blocked.blocks = 4;
@@ -104,7 +96,17 @@ TEST(SolverTest, RouteIrrelevantOptionsHitTheSameCacheEntry) {
   PlanOptions blocked8 = blocked;
   blocked8.blocks = 8;
   (void)solver.compile(sys, blocked8);
-  EXPECT_EQ(solver.plan_cache().misses(), 4u);
+  EXPECT_EQ(solver.plan_cache().misses(), 3u);
+
+  // kAuto reads every knob, so flipping a GIR flag on an ordinary-routed
+  // system is a second entry (memory, not correctness: the plans agree).
+  const auto first = solver.compile(sys);
+  PlanOptions gir_flags;
+  gir_flags.reference_counts = true;
+  const auto second = solver.compile(sys, gir_flags);
+  EXPECT_EQ(solver.plan_cache().misses(), 5u);
+  EXPECT_NE(first.get(), second.get());
+  EXPECT_EQ(first->engine, second->engine);
 }
 
 TEST(SolverTest, CapacityBoundEvictsLeastRecentlyUsed) {
@@ -280,7 +282,8 @@ TEST(SolverTest, CapacityZeroStillSingleFlightsConcurrentCompiles) {
 
 TEST(SolverTest, PlanStoreFallbackAvoidsRecompiles) {
   // A second solver process (modeled as a second Solver) pointed at the same
-  // store satisfies its cache misses from disk: plan_compiles() stays 0.
+  // store satisfies its gir-cap cache misses from disk: plan_compiles()
+  // stays 0.
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() /
       ("irsolver-store-test-" + std::to_string(::getpid()));
@@ -288,7 +291,7 @@ TEST(SolverTest, PlanStoreFallbackAvoidsRecompiles) {
   PlanStore store(dir.string());
 
   support::SplitMix64 rng(95);
-  const auto sys = testing::random_ordinary_system(80, 120, rng, 0.8);
+  const auto sys = testing::random_general_system(80, 120, rng, 0.7);
 
   SolverConfig config;
   config.plan_store = &store;
@@ -296,6 +299,7 @@ TEST(SolverTest, PlanStoreFallbackAvoidsRecompiles) {
   {
     Solver cold(config);
     const auto plan = cold.compile(sys);
+    ASSERT_EQ(plan->engine, PlanEngine::kGeneralCap);
     fingerprint = plan->fingerprint;
     EXPECT_EQ(cold.plan_compiles(), 1u);
     EXPECT_EQ(store.puts(), 1u);  // write-through persisted the compile
@@ -316,6 +320,39 @@ TEST(SolverTest, PlanStoreFallbackAvoidsRecompiles) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(SolverTest, OrdinaryCompilesAreNotStored) {
+  // An ordinary plan compiles faster than a stored one verifies, so the
+  // write-through skips it: the store sees a miss and no put, and a second
+  // Solver on the same store compiles again.
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("irsolver-store-ordinary-test-" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  PlanStore store(dir.string());
+
+  support::SplitMix64 rng(97);
+  const auto sys = testing::random_ordinary_system(80, 120, rng, 0.8);
+
+  SolverConfig config;
+  config.plan_store = &store;
+  for (int process = 0; process < 2; ++process) {
+    Solver solver(config);
+    const auto plan = solver.compile(sys);
+    EXPECT_NE(plan->engine, PlanEngine::kGeneralCap);
+    EXPECT_EQ(solver.plan_compiles(), 1u) << "process " << process;
+  }
+  EXPECT_EQ(store.puts(), 0u);
+  EXPECT_EQ(store.misses(), 2u);
+  EXPECT_EQ(store.rejects(), 0u);
+  EXPECT_TRUE(store.manifest().empty());
+
+  // Forced gir on the same ordinary system is a gir-cap plan: stored.
+  Solver solver(config);
+  (void)solver.compile(sys, PlanOptions{.engine = EngineChoice::kGeneralCap});
+  EXPECT_EQ(store.puts(), 1u);
+  std::filesystem::remove_all(dir);
+}
+
 TEST(SolverTest, StoreWritesCanBeDisabled) {
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() /
@@ -324,13 +361,13 @@ TEST(SolverTest, StoreWritesCanBeDisabled) {
   PlanStore store(dir.string());
 
   support::SplitMix64 rng(96);
-  const auto sys = testing::random_ordinary_system(60, 90, rng, 0.8);
+  const auto sys = testing::random_general_system(60, 90, rng, 0.7);
 
   SolverConfig config;
   config.plan_store = &store;
   config.store_writes = false;  // read-only consumer of a shared store
   Solver solver(config);
-  (void)solver.compile(sys);
+  EXPECT_EQ(solver.compile(sys)->engine, PlanEngine::kGeneralCap);
   EXPECT_EQ(solver.plan_compiles(), 1u);
   EXPECT_EQ(store.puts(), 0u);
   EXPECT_TRUE(store.manifest().empty());

@@ -15,7 +15,6 @@
 #include <fstream>
 #include <string>
 
-#include "core/ordinary_ir.hpp"
 #include "core/plan.hpp"
 #include "core/plan_io.hpp"
 #include "support/contract.hpp"
@@ -26,7 +25,7 @@ namespace {
 /// Header field positions (pinned by the format, same constants the plan_io
 /// adversarial tests use): checksum at the header's end, the recorded cache
 /// identity behind the fingerprint.
-constexpr std::size_t kTestChecksumOffset = 536;
+constexpr std::size_t kTestChecksumOffset = 248;
 constexpr std::size_t kTestStoreKeyOffset = 40;
 constexpr std::size_t kTestCheckBytesOffset = 48;
 constexpr std::size_t kTestCheckHash2Offset = 56;
@@ -44,31 +43,36 @@ void reseal_checksum(std::string& bytes) {
   std::memcpy(bytes.data() + kTestChecksumOffset, &hash, 8);
 }
 
-core::OrdinaryIrSystem chain_system(std::size_t n) {
-  core::OrdinaryIrSystem sys;
-  sys.cells = n + 1;
-  for (std::size_t i = 0; i < n; ++i) {
-    sys.f.push_back(i);
-    sys.g.push_back(i + 1);
+/// Fibonacci-shaped general system: kAuto routes it to gir-cap, the one
+/// engine a store holds.
+core::GeneralIrSystem fib_system(std::size_t n) {
+  core::GeneralIrSystem sys;
+  sys.cells = n + 2;
+  for (std::size_t i = 2; i < n + 2; ++i) {
+    sys.f.push_back(i - 1);
+    sys.g.push_back(i);
+    sys.h.push_back(i - 2);
   }
   return sys;
 }
 
 struct Exported {
+  core::GeneralIrSystem sys;
   core::Plan plan;
   std::uint64_t key = 0;
+  core::PlanKeyWords words;
   std::string bytes;
 };
 
-Exported export_chain(std::size_t n) {
+Exported export_fib(std::size_t n) {
   Exported out;
-  const core::OrdinaryIrSystem ord = chain_system(n);
-  const auto sys = core::GeneralIrSystem::from_ordinary(ord);
+  out.sys = fib_system(n);
   const core::PlanOptions options;
-  out.plan = core::compile_plan(ord, options);
-  const core::PlanKey identity = core::plan_key(ord, options);
+  out.plan = core::compile_plan(out.sys, options);
+  const core::PlanKey identity = core::plan_key(out.sys, options);
   out.key = identity.key;
-  out.bytes = core::serialize_plan(out.plan, sys, identity.words);
+  out.words = identity.words;
+  out.bytes = core::serialize_plan(out.plan, out.sys, identity.words);
   return out;
 }
 
@@ -92,14 +96,15 @@ class AuditStoreTest : public ::testing::Test {
 
 TEST_F(AuditStoreTest, CountsOnePassAndTwoRejects) {
   // One valid entry, one bitflip-corrupted entry, one spliced entry.
-  const Exported good = export_chain(12);
+  const Exported good = export_fib(12);
   write_entry("a-valid.irplan", good.bytes);
 
-  std::string corrupt = export_chain(9).bytes;
+  std::string corrupt = export_fib(9).bytes;
+  ASSERT_GT(corrupt.size(), 600u);
   corrupt[600] ^= 0x40;  // flip a table byte, leave the checksum stale
   write_entry("b-corrupt.irplan", corrupt);
 
-  const Exported donor = export_chain(11);
+  const Exported donor = export_fib(11);
   std::string spliced = donor.bytes;
   std::memcpy(spliced.data() + kTestStoreKeyOffset,
               good.bytes.data() + kTestStoreKeyOffset, 8);
@@ -149,15 +154,10 @@ TEST_F(AuditStoreTest, CountsOnePassAndTwoRejects) {
 
 TEST_F(AuditStoreTest, CleanStoreAuditsOk) {
   core::PlanStore store(dir_.string());
-  const Exported a = export_chain(16);
-  const Exported b = export_chain(20);
-  const core::OrdinaryIrSystem ord_a = chain_system(16);
-  const core::OrdinaryIrSystem ord_b = chain_system(20);
-  const core::PlanOptions options;
-  store.put(core::plan_key(ord_a, options).words, a.plan,
-            core::GeneralIrSystem::from_ordinary(ord_a));
-  store.put(core::plan_key(ord_b, options).words, b.plan,
-            core::GeneralIrSystem::from_ordinary(ord_b));
+  const Exported a = export_fib(16);
+  const Exported b = export_fib(20);
+  store.put(a.words, a.plan, a.sys);
+  store.put(b.words, b.plan, b.sys);
 
   const AuditReport report = audit_store(dir_.string());
   EXPECT_EQ(report.passed, 2u);
@@ -183,7 +183,7 @@ TEST_F(AuditStoreTest, MissingDirectoryThrows) {
 }
 
 TEST_F(AuditStoreTest, CostOptionsReachEveryEntry) {
-  const Exported good = export_chain(12);
+  const Exported good = export_fib(12);
   write_entry("plan.irplan", good.bytes);
   CostOptions options;
   options.banks = 64;

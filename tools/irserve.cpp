@@ -129,10 +129,12 @@ int usage() {
                "means open access.  --shards partitions the plan cache and\n"
                "dispatcher pools by plan_cache_key (consistent hashing).\n"
                "\n"
-               "--plan-store persists verified compiled plans to DIR and serves\n"
-               "cache misses from it; --warm-start preloads every stored plan at\n"
-               "boot so a restarted server replays its working set with zero\n"
-               "compiles (docs/plan_store.md).\n"
+               "--plan-store persists compiled gir-cap plans to DIR and serves\n"
+               "cache misses from it (ordinary plans compile faster than a stored\n"
+               "copy verifies, so they are not stored); --warm-start preloads every\n"
+               "stored plan at boot, so a restarted server answers its gir-cap\n"
+               "systems with zero compiles and compiles each ordinary system once\n"
+               "(docs/plan_store.md).\n"
                "\n"
                "Reads the docs/service.md line protocol from stdin (or the\n"
                "socket) and writes one response per request in order.\n");

@@ -34,10 +34,12 @@
 #            (tools/http_soak.sh — keep-alive, fair share, confined 429s,
 #            balanced ledger)
 #   --store  round-trip every corpus witness through the binary plan store:
-#            irtool plan export into a store directory, re-import (full
-#            validation + static verification) + info on every entry, prove a
-#            corrupted entry is rejected, then run the warm-start serve soak
-#            (skipped if --serve already ran it for this configuration)
+#            irtool plan export --engine=gir into a store directory (stores
+#            hold gir-cap plans only), re-import (full validation + static
+#            verification) + info on every entry, prove an auto export of an
+#            ordinary witness exits 1 and a corrupted entry is rejected, then
+#            run the warm-start serve soak (skipped if --serve already ran it
+#            for this configuration)
 #   --bench-report  run all four benches quick-mode with --report=BENCH_*.json
 #            in both telemetry configurations, schema-validate the reports
 #            (tools/check_bench_json.py), and diff them against the committed
@@ -70,16 +72,25 @@ for arg in "$@"; do
   esac
 done
 
-# Plan-store round trip over the corpus: every witness exports, every export
-# re-imports under full validation + static verification, and a flipped byte
-# anywhere in an entry must be rejected before execution.
+# Plan-store round trip over the corpus: every witness exports as a gir-cap
+# plan (--engine=gir fits any system), every export re-imports under full
+# validation + static verification, an auto export of an ordinary witness is
+# refused with exit 1, and a flipped byte anywhere in an entry must be
+# rejected before execution.
 run_store_leg() {
   local dir="$1"
   local store="${dir}/plan-store-leg"
   rm -rf "${store}"
   for f in tests/corpus/*.ir; do
-    "${dir}/examples/irtool" plan export "${f}" "${store}" >/dev/null
+    "${dir}/examples/irtool" plan export "${f}" "${store}" --engine=gir >/dev/null
   done
+  local rc=0
+  "${dir}/examples/irtool" plan export tests/corpus/chain-blocked-fixups.ir "${store}" \
+      --engine=auto >/dev/null 2>&1 || rc=$?
+  if [[ "${rc}" != 1 ]]; then
+    echo "store leg: auto export of an ordinary witness must exit 1, got ${rc}" >&2
+    exit 1
+  fi
   local count=0
   for p in "${store}"/*.irplan; do
     "${dir}/examples/irtool" plan import "${p}" >/dev/null
@@ -95,7 +106,8 @@ run_store_leg() {
     echo "store leg: corrupted plan import unexpectedly succeeded" >&2
     exit 1
   fi
-  echo "store leg: ${count} corpus plans exported + re-imported; corruption rejected"
+  echo "store leg: ${count} corpus plans exported + re-imported; ordinary auto export" \
+       "and corruption rejected"
   if [[ "${SERVE}" != "1" ]]; then
     tools/serve_soak.sh "${dir}"
   fi
@@ -178,7 +190,7 @@ if [[ "${LINT}" == "1" ]]; then
   audit_store="${PREFIX}/verify-audit-store"
   rm -rf "${audit_store}"
   for f in tests/corpus/*.ir; do
-    "${PREFIX}/examples/irtool" plan export "${f}" "${audit_store}" >/dev/null
+    "${PREFIX}/examples/irtool" plan export "${f}" "${audit_store}" --engine=gir >/dev/null
   done
   "${PREFIX}/examples/irtool" audit "${audit_store}"
 
