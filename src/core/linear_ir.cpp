@@ -6,6 +6,8 @@
 
 namespace ir::core {
 
+using algebra::AffineCompose;
+using algebra::AffineMap;
 using algebra::MoebiusCompose;
 using algebra::MoebiusMap;
 
@@ -58,48 +60,45 @@ std::vector<double> moebius_ir_sequential(const MoebiusIrLoop& loop, std::vector
   return x;
 }
 
-std::vector<double> moebius_ir_run(const Plan& plan,
-                                   const std::vector<MoebiusMap>& iteration_maps,
-                                   std::vector<double> x, const ExecOptions& exec) {
+namespace {
+
+/// Lemma 2 on a compiled ordinary plan, in place on x: iteration i's
+/// operand is map_at(i, S) with S the initial value of the cell it writes
+/// (legal because g is injective), a chain root folds the constant map of
+/// the untouched cell it reads in front of its own (Paper Section 3, steps
+/// 1-3), and each finished trace is constant, so its value is read off.
+/// The maps are built on the fly; no per-iteration map array exists.
+template <typename Compose, typename MapAt>
+std::vector<double> run_maps(const Plan& plan, const Compose& compose, const MapAt& map_at,
+                             std::vector<double> x, const ExecOptions& exec) {
+  using Map = typename Compose::Value;
   IR_SPAN("moebius.solve");
-  IR_REQUIRE(plan.engine == PlanEngine::kJumping || plan.engine == PlanEngine::kBlocked ||
-                 plan.engine == PlanEngine::kScan,
-             "moebius_ir_run needs an ordinary-engine plan (jumping, blocked or scan)");
-  IR_REQUIRE(x.size() == plan.cells, "initial array must have `cells` entries");
-  IR_REQUIRE(iteration_maps.size() == plan.iterations,
-             "need exactly one map per iteration");
   IR_COUNTER_ADD("moebius.solves", 1);
   IR_COUNTER_ADD("moebius.iterations", plan.iterations);
-
-  // Paper Section 3, steps 1-3: the coefficient maps are the operand table
-  // standing in for A[g(i)] (legal because g is injective), and a chain root
-  // folds the constant map of the untouched cell it reads in front of its own.
-  const MoebiusCompose compose{};
-  std::vector<MoebiusMap> traces;
-  traces.reserve(plan.iterations);
-  for (std::size_t i = 0; i < plan.iterations; ++i) {
-    const std::uint32_t root = plan.root_cell[i];
-    traces.push_back(root != kNoIndex32
-                         ? compose.combine(MoebiusMap::constant(x[root]), iteration_maps[i])
-                         : iteration_maps[i]);
-  }
-  replay_traces(plan, compose, traces, exec);
-
-  for (std::size_t i = 0; i < plan.iterations; ++i) {
-    // Every complete trace starts at a constant root, so the composed map is
-    // constant; evaluating it anywhere yields the final value.
-    IR_INVARIANT(traces[i].is_constant(), "composed Moebius trace must be constant");
-    x[plan.write_cell[i]] = traces[i].apply(0.0);
-  }
+  double* xs = x.data();
+  const std::uint32_t* write_cell = plan.write_cell.data();
+  detail::run_ordinary(
+      compose, plan, [xs](std::uint32_t cell) { return Map::constant(xs[cell]); },
+      [xs, write_cell, &map_at](std::size_t i) { return map_at(i, xs[write_cell[i]]); },
+      [xs, write_cell](std::size_t i, Map&& trace) {
+        // Every complete trace starts at a constant root, so the composed
+        // map is constant; evaluating it anywhere yields the final value.
+        IR_INVARIANT(trace.is_constant(), "composed Lemma-2 trace must be constant");
+        xs[write_cell[i]] = trace.apply(0.0);
+      },
+      exec);
   return x;
 }
 
-std::vector<double> moebius_ir_run(const OrdinaryIrSystem& sys,
-                                   const std::vector<MoebiusMap>& iteration_maps,
-                                   std::vector<double> x, const OrdinaryIrOptions& options) {
+/// The route of the three parallel solvers: compile (or, via the shared
+/// Solver's plan cache, reuse) the kAuto plan for `sys` with options.pool
+/// as the sizing hint, then run_maps.  A recurrence-free loop applies each
+/// map to its initial value directly.
+template <typename Compose, typename MapAt>
+std::vector<double> solve_maps(const OrdinaryIrSystem& sys, const Compose& compose,
+                               const MapAt& map_at, std::vector<double> x,
+                               const OrdinaryIrOptions& options) {
   IR_REQUIRE(x.size() == sys.cells, "initial array must have `cells` entries");
-  IR_REQUIRE(iteration_maps.size() == sys.iterations(),
-             "need exactly one map per iteration");
   PlanOptions plan_options;
   plan_options.pool = options.pool;  // sizing hint for the blocked-vs-jumping choice
   // Content-cached: a Livermore kernel calling this once per timed rep pays
@@ -112,7 +111,7 @@ std::vector<double> moebius_ir_run(const OrdinaryIrSystem& sys,
     IR_COUNTER_ADD("moebius.solves", 1);
     IR_COUNTER_ADD("moebius.iterations", sys.iterations());
     for (std::size_t i = 0; i < sys.iterations(); ++i) {
-      x[sys.g[i]] = iteration_maps[i].apply(x[sys.f[i]]);
+      x[sys.g[i]] = map_at(i, x[sys.g[i]]).apply(x[sys.f[i]]);
     }
     if (options.stats != nullptr) *options.stats = {0, sys.iterations(), 0};
     return x;
@@ -121,17 +120,46 @@ std::vector<double> moebius_ir_run(const OrdinaryIrSystem& sys,
   exec.pool = options.pool;
   exec.processor_cap = options.processor_cap;
   exec.ordinary_stats = options.stats;
-  return moebius_ir_run(*plan, iteration_maps, std::move(x), exec);
+  return run_maps(*plan, compose, map_at, std::move(x), exec);
+}
+
+/// Iteration i's coefficient map, whatever the written cell held.
+struct MapTable {
+  const std::vector<MoebiusMap>& maps;
+  const MoebiusMap& operator()(std::size_t i, double /*self*/) const { return maps[i]; }
+};
+
+}  // namespace
+
+std::vector<double> moebius_ir_run(const Plan& plan,
+                                   const std::vector<MoebiusMap>& iteration_maps,
+                                   std::vector<double> x, const ExecOptions& exec) {
+  IR_REQUIRE(plan.engine == PlanEngine::kJumping || plan.engine == PlanEngine::kBlocked ||
+                 plan.engine == PlanEngine::kScan,
+             "moebius_ir_run needs an ordinary-engine plan (jumping, blocked or scan)");
+  IR_REQUIRE(x.size() == plan.cells, "initial array must have `cells` entries");
+  IR_REQUIRE(iteration_maps.size() == plan.iterations,
+             "need exactly one map per iteration");
+  return run_maps(plan, MoebiusCompose{}, MapTable{iteration_maps}, std::move(x), exec);
+}
+
+std::vector<double> moebius_ir_run(const OrdinaryIrSystem& sys,
+                                   const std::vector<MoebiusMap>& iteration_maps,
+                                   std::vector<double> x, const OrdinaryIrOptions& options) {
+  IR_REQUIRE(iteration_maps.size() == sys.iterations(),
+             "need exactly one map per iteration");
+  return solve_maps(sys, MoebiusCompose{}, MapTable{iteration_maps}, std::move(x), options);
 }
 
 std::vector<double> linear_ir_parallel(const LinearIrLoop& loop, std::vector<double> x,
                                        const OrdinaryIrOptions& options) {
   loop.validate();
-  std::vector<MoebiusMap> maps(loop.system.iterations());
-  for (std::size_t i = 0; i < maps.size(); ++i) {
-    maps[i] = MoebiusMap::affine(loop.mul[i], loop.add[i]);
-  }
-  return moebius_ir_run(loop.system, maps, std::move(x), options);
+  const double* mul = loop.mul.data();
+  const double* add = loop.add.data();
+  return solve_maps(
+      loop.system, AffineCompose{},
+      [mul, add](std::size_t i, double /*self*/) { return AffineMap{mul[i], add[i]}; },
+      std::move(x), options);
 }
 
 std::vector<double> self_linear_ir_parallel(const SelfLinearIrLoop& loop,
@@ -139,13 +167,18 @@ std::vector<double> self_linear_ir_parallel(const SelfLinearIrLoop& loop,
                                             const OrdinaryIrOptions& options) {
   loop.validate();
   // g injective => X[g(i)] on the right-hand side is still the initial value
-  // S[g(i)]; folding it into the coefficients yields the paper's matrices.
-  std::vector<MoebiusMap> maps(loop.system.iterations());
-  for (std::size_t i = 0; i < maps.size(); ++i) {
-    const double s = x[loop.system.g[i]];
-    maps[i] = MoebiusMap::affine(s * loop.c[i] + loop.a[i], s * loop.d[i] + loop.b[i]);
-  }
-  return moebius_ir_run(loop.system, maps, std::move(x), options);
+  // S[g(i)]; folding it into the coefficients yields the paper's matrices,
+  // here as their affine pairs.
+  const double* a = loop.a.data();
+  const double* b = loop.b.data();
+  const double* c = loop.c.data();
+  const double* d = loop.d.data();
+  return solve_maps(
+      loop.system, AffineCompose{},
+      [a, b, c, d](std::size_t i, double s) {
+        return AffineMap{s * c[i] + a[i], s * d[i] + b[i]};
+      },
+      std::move(x), options);
 }
 
 std::vector<double> moebius_ir_parallel(const MoebiusIrLoop& loop, std::vector<double> x,

@@ -11,7 +11,11 @@
 // associative ⊙ over array elements.  Lemma 2 repairs that: each iteration
 // becomes a 2x2 coefficient matrix, composition is the singular-aware matrix
 // product ⊗, and the loop becomes an ordinary IR over matrices, solvable in
-// O(log n) rounds — or as one O(n) scan when the loop is a set of chains.
+// O(log n) rounds — or as one O(n) fold when the loop is a set of chains.
+// The first two shapes only ever build affine matrices (bottom row [0, 1]),
+// so they run over 16-byte (a, b) pairs under AffineCompose, the same ⊗ in
+// three flops; the fractional shape keeps its 2x2 maps.  Both build each
+// iteration's map on the fly from its coefficients.
 // The self-referential form first substitutes X[g(i)]'s
 // *initial* value into the coefficients — legal exactly because g is
 // injective ("each reference to X[g(i)] is a reference to its initial
@@ -63,8 +67,11 @@ std::vector<double> self_linear_ir_sequential(const SelfLinearIrLoop& loop,
                                               std::vector<double> x);
 std::vector<double> moebius_ir_sequential(const MoebiusIrLoop& loop, std::vector<double> x);
 
-/// Parallel solvers: Lemma-2 matrices + an ordinary plan (moebius_ir_run).
-/// Output matches the sequential reference up to floating-point reassociation.
+/// Parallel solvers: Lemma-2 maps (affine pairs for the first two, 2x2 maps
+/// for the third) + the kAuto ordinary plan, compiled through the shared
+/// Solver as moebius_ir_run describes.  Output matches the sequential
+/// reference up to floating-point reassociation; on chain plans (kScan) the
+/// fold keeps the loop's order.
 std::vector<double> linear_ir_parallel(const LinearIrLoop& loop, std::vector<double> x,
                                        const OrdinaryIrOptions& options = {});
 std::vector<double> self_linear_ir_parallel(const SelfLinearIrLoop& loop,
@@ -89,10 +96,11 @@ std::vector<double> moebius_ir_run(const OrdinaryIrSystem& sys,
                                    const OrdinaryIrOptions& options = {});
 
 /// Plan-based variant: run a precompiled ordinary plan (jumping, blocked or
-/// scan) over the coefficient maps.  The maps seed the plan's trace
-/// array (replay_traces in plan.hpp), so this touches no index maps beyond
-/// the plan's own tables — callers timing repeated solves should compile
-/// once and call this in the loop.
+/// scan) over the coefficient maps (detail::run_ordinary in plan.hpp: a
+/// scan plan folds its segments straight into x, the others seed, replay
+/// and scatter a trace array), so this touches no index maps beyond the
+/// plan's own tables — callers timing repeated solves should compile once
+/// and call this in the loop.
 std::vector<double> moebius_ir_run(const Plan& plan,
                                    const std::vector<algebra::MoebiusMap>& iteration_maps,
                                    std::vector<double> x, const ExecOptions& exec = {});

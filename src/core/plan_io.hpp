@@ -42,9 +42,11 @@ namespace ir::core {
 
 /// Bumped on any layout change; readers reject other versions (the format
 /// is an artifact cache, not an archival interchange format — recompiling
-/// is always safe, so there is no cross-version migration).  Version 2
-/// files, which also stored ordinary plans, are rejected by name.
-inline constexpr std::uint32_t kPlanFormatVersion = 3;
+/// is always safe, so there is no cross-version migration).  Two older
+/// versions are rejected by name: version 2 files also stored ordinary
+/// plans, and version 3 headers carry fingerprints of the system text
+/// where v4 hashes the index words (core/serialize.hpp).
+inline constexpr std::uint32_t kPlanFormatVersion = 4;
 
 /// File extension the store uses for its entries.
 inline constexpr const char* kPlanFileExtension = ".irplan";
@@ -65,7 +67,7 @@ struct LoadedPlan {
   PlanKeyWords key_words;       ///< the option words the identity derives from
 };
 
-/// Why `plan` cannot be stored, or nullopt when it can: v3 files hold only
+/// Why `plan` cannot be stored, or nullopt when it can: v4 files hold only
 /// gir-cap plans, and only those whose symbolic check fits the loader's
 /// fixed budget — a store never writes an entry its own loader would
 /// refuse.  serialize_plan and PlanStore::put throw with this reason; the

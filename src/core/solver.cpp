@@ -89,7 +89,7 @@ std::shared_ptr<const Plan> Solver::compile_keyed(
 template <typename System>
 std::shared_ptr<const Plan> Solver::compile_impl(const System& sys,
                                                  const PlanOptions& options) {
-  // One serialized-bytes pass yields the key, the collision double-check,
+  // One pass over the index words yields the key, the collision double-check,
   // and the option words the store write-through records.
   const PlanKey identity = plan_key(sys, options);
   return compile_keyed(identity.key, identity.check,

@@ -5,7 +5,7 @@
 //   auto out  = solver.execute(*plan, op, values);    // pure value work
 //   auto outs = solver.execute_many(*plan, op, batch);
 //
-// compile() keys the cache by the system's serialized content plus the
+// compile() keys the cache by the system's content hash plus the
 // structure-affecting options, so repeated traffic with the same loop shape
 // (the ROADMAP's production pattern) pays the analysis/pred-forest/schedule
 // cost exactly once.  solve() is the one-shot convenience wrapper: compile

@@ -1,27 +1,10 @@
 #include "scan/linear_recurrence.hpp"
 
-#include "algebra/concepts.hpp"
+#include "algebra/moebius.hpp"
 #include "scan/prefix_scan.hpp"
 #include "support/contract.hpp"
 
 namespace ir::scan {
-
-namespace {
-
-/// Composition of affine maps, ordered so that combine(earlier, later) is
-/// "apply earlier first": (later ∘ earlier)(u) = later.coeff·(earlier(u)) + later.offset.
-struct AffineCompose {
-  using Value = AffinePair;
-  static constexpr bool is_commutative = false;
-  Value combine(const Value& earlier, const Value& later) const {
-    return AffinePair{later.coeff * earlier.coeff,
-                      later.coeff * earlier.offset + later.offset};
-  }
-};
-
-static_assert(algebra::BinaryOperation<AffineCompose>);
-
-}  // namespace
 
 std::vector<double> linear_recurrence_sequential(std::span<const double> a,
                                                  std::span<const double> b, double x0) {
@@ -39,11 +22,11 @@ std::vector<double> linear_recurrence_scan(std::span<const double> a,
                                            std::span<const double> b, double x0,
                                            parallel::ThreadPool* pool) {
   IR_REQUIRE(a.size() == b.size(), "coefficient arrays must have equal length");
-  std::vector<AffinePair> maps(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) maps[i] = AffinePair{a[i], b[i]};
-  inclusive_scan_kogge_stone(AffineCompose{}, maps, pool);
+  std::vector<algebra::AffineMap> maps(a.size());
+  for (std::size_t i = 0; i < a.size(); ++i) maps[i] = algebra::AffineMap{a[i], b[i]};
+  inclusive_scan_kogge_stone(algebra::AffineCompose{}, maps, pool);
   std::vector<double> x(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) x[i] = maps[i].coeff * x0 + maps[i].offset;
+  for (std::size_t i = 0; i < a.size(); ++i) x[i] = maps[i].apply(x0);
   return x;
 }
 

@@ -54,24 +54,4 @@ void segmented_inclusive_scan(const Op& op, std::vector<typename Op::Value>& dat
   for (std::size_t i = 0; i < data.size(); ++i) data[i] = std::move(pairs[i].second);
 }
 
-/// Sequential in-place segmented inclusive scan, left-to-right: data[i]
-/// becomes data[pred] ⊙ data[i] along its segment.  Unlike the Kogge-Stone
-/// variant above this never reassociates, so the result is bit-identical to
-/// the sequential reference fold for ANY op — including non-associative
-/// machine arithmetic like float addition.  This is the executor behind the
-/// plan compiler's chain-detected kScan route (plan.hpp): for f(i) = i-1
-/// chains the fold is O(n) work versus the O(n log n) moves of pointer
-/// jumping, so sequential is also the fast choice.
-/// `head_flags` is any indexable byte container (vector, core::PlanTable) —
-/// generic so the scan layer stays independent of core's table types.
-template <algebra::BinaryOperation Op, typename HeadFlags>
-void segmented_inclusive_scan_sequential(const Op& op,
-                                         std::vector<typename Op::Value>& data,
-                                         const HeadFlags& head_flags) {
-  IR_REQUIRE(head_flags.size() == data.size(), "one head flag per element");
-  for (std::size_t i = 1; i < data.size(); ++i) {
-    if (head_flags[i] == 0) data[i] = op.combine(data[i - 1], data[i]);
-  }
-}
-
 }  // namespace ir::scan

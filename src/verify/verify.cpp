@@ -248,7 +248,7 @@ bool check_bounds(Reporter& rep, const Plan& plan, const GeneralIrSystem& sys) {
 void check_preconditions(Reporter& rep, const Plan& plan, const GeneralIrSystem& sys) {
   if (plan.fingerprint != core::content_fingerprint(sys)) {
     rep.add(CheckFamily::kPrecondition, "plan.fingerprint-mismatch",
-            "plan fingerprint does not match the system's serialized content — the "
+            "plan fingerprint does not match the system's content hash — the "
             "plan was compiled from a different system");
   }
 

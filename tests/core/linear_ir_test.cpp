@@ -10,6 +10,9 @@
 namespace ir::core {
 namespace {
 
+using algebra::AffineCompose;
+using algebra::AffineMap;
+using algebra::MoebiusCompose;
 using algebra::MoebiusMap;
 
 /// Random coefficients with |mul| <= 0.95 keep long products conditioned.
@@ -265,6 +268,156 @@ TEST(MoebiusIrTest, PerIterationOperandsAreHonoured) {
   std::vector<std::uint64_t> traces{(100 + 0) + (1000 + 0), 1000 + 1};
   replay_traces(plan, algebra::AddMonoid<std::uint64_t>{}, traces);
   EXPECT_EQ(traces, (std::vector<std::uint64_t>{1100, 2101}));
+}
+
+// ---- affine pairs: the 16-byte Lemma-2 operand of the linear routes -------
+
+MoebiusMap as_moebius(const AffineMap& m) { return MoebiusMap::affine(m.a, m.b); }
+
+/// Small-integer slopes and offsets keep every product exact, so equality
+/// below is exact; every fourth map is constant (slope 0).
+std::vector<AffineMap> integer_affine_maps(std::size_t count, support::SplitMix64& rng) {
+  std::vector<AffineMap> maps(count);
+  for (std::size_t k = 0; k < count; ++k) {
+    const double slope = k % 4 == 3 ? 0.0 : static_cast<double>(rng.below(7)) - 3.0;
+    maps[k] = AffineMap{slope, static_cast<double>(rng.below(9)) - 4.0};
+  }
+  return maps;
+}
+
+TEST(AffineComposeTest, AgreesWithMoebiusComposeOnAffineMaps) {
+  support::SplitMix64 rng(38);
+  const AffineCompose affine;
+  const MoebiusCompose moebius;
+  std::vector<AffineMap> maps = integer_affine_maps(40, rng);
+  for (int k = 0; k < 40; ++k) {  // non-integer maps agree value for value too
+    maps.push_back(AffineMap{k % 5 == 0 ? 0.0 : rng.uniform(-2.0, 2.0), rng.uniform(-3.0, 3.0)});
+  }
+  for (const AffineMap& prefix : maps) {
+    for (const AffineMap& next : maps) {
+      const AffineMap pair = affine.combine(prefix, next);
+      const MoebiusMap matrix = moebius.combine(as_moebius(prefix), as_moebius(next));
+      ASSERT_EQ(pair.a, matrix.a);
+      ASSERT_EQ(pair.b, matrix.b);
+      ASSERT_EQ(matrix.c, 0.0);
+      ASSERT_EQ(matrix.d, 1.0);
+      ASSERT_EQ(pair.is_constant(), matrix.is_constant());
+      ASSERT_EQ(pair.apply(1.5), matrix.apply(1.5));
+    }
+  }
+  // The singular short-circuit: a constant next map swallows its prefix.
+  const AffineMap constant = AffineMap::constant(7.0);
+  EXPECT_EQ(affine.combine(AffineMap{2.0, 3.0}, constant), constant);
+  EXPECT_EQ(affine.combine(constant, AffineMap{2.0, 3.0}), (AffineMap{0.0, 17.0}));
+  EXPECT_TRUE(AffineMap::constant(-1.0).is_constant());
+  EXPECT_EQ(AffineMap::constant(-1.0).apply(0.0), -1.0);
+}
+
+TEST(AffineComposeTest, IsAssociativeWithTheConstantShortCircuit) {
+  support::SplitMix64 rng(39);
+  const AffineCompose op;
+  const std::vector<AffineMap> maps = integer_affine_maps(24, rng);
+  for (const AffineMap& x : maps) {
+    for (const AffineMap& y : maps) {
+      for (const AffineMap& z : maps) {
+        ASSERT_EQ(op.combine(op.combine(x, y), z), op.combine(x, op.combine(y, z)));
+      }
+    }
+  }
+}
+
+/// Three systems that kAuto routes to the three ordinary engines: column
+/// chains (scan), two interleaved chains whose links stay inside a block
+/// (blocked), and chains whose every link spans a quarter of the loop
+/// (jumping).
+struct RoutedSystem {
+  OrdinaryIrSystem system;
+  PlanEngine engine;
+};
+
+std::vector<RoutedSystem> systems_for_every_engine() {
+  std::vector<RoutedSystem> out;
+  OrdinaryIrSystem columns;
+  columns.cells = 3 * 120;
+  for (std::size_t j = 0; j < 3; ++j) {
+    for (std::size_t k = 1; k < 120; ++k) {
+      columns.f.push_back(j * 120 + k - 1);
+      columns.g.push_back(j * 120 + k);
+    }
+  }
+  out.push_back({columns, PlanEngine::kScan});
+
+  const std::size_t n = 400;
+  OrdinaryIrSystem interleaved;  // pred(i) = i - 2
+  interleaved.cells = n + 2;
+  for (std::size_t i = 0; i < n; ++i) {
+    interleaved.f.push_back(i);
+    interleaved.g.push_back(i + 2);
+  }
+  out.push_back({interleaved, PlanEngine::kBlocked});
+
+  OrdinaryIrSystem strided;  // pred(i) = i - n/4, roots read cells written later
+  strided.cells = n;
+  for (std::size_t i = 0; i < n; ++i) {
+    strided.f.push_back(i < n / 4 ? n - 1 - i : i - n / 4);
+    strided.g.push_back(i);
+  }
+  out.push_back({strided, PlanEngine::kJumping});
+  return out;
+}
+
+/// The Möbius route over 2x2 maps on the plan kAuto compiles — the route
+/// the linear solvers took before they ran over affine pairs.
+std::vector<double> moebius_route(const OrdinaryIrSystem& sys,
+                                  const std::vector<MoebiusMap>& maps,
+                                  const std::vector<double>& x, parallel::ThreadPool* pool) {
+  const Plan plan = compile_plan(sys, {.pool = pool});
+  return moebius_ir_run(plan, maps, x, {.pool = pool});
+}
+
+TEST(LinearIrTest, PairRouteEqualsMoebiusRouteOnEveryPlan) {
+  support::SplitMix64 rng(40);
+  parallel::ThreadPool pool(3);
+  for (const RoutedSystem& routed : systems_for_every_engine()) {
+    const OrdinaryIrSystem& sys = routed.system;
+    SCOPED_TRACE(to_string(routed.engine));
+    ASSERT_EQ(compile_plan(sys, {.pool = &pool}).engine, routed.engine);
+    ASSERT_EQ(compile_plan(sys).engine, routed.engine);
+    const std::size_t n = sys.iterations();
+
+    LinearIrLoop linear{sys, {}, {}};
+    SelfLinearIrLoop self{sys, {}, {}, {}, {}};
+    for (std::size_t i = 0; i < n; ++i) {
+      linear.mul.push_back(i % 9 == 4 ? 0.0 : rng.uniform(-0.95, 0.95));
+      linear.add.push_back(rng.uniform(-1.0, 1.0));
+      self.a.push_back(rng.uniform(-0.5, 0.5));
+      self.b.push_back(rng.uniform(-0.5, 0.5));
+      self.c.push_back(i % 7 == 0 ? 0.0 : rng.uniform(-0.2, 0.2));
+      self.d.push_back(rng.uniform(0.3, 0.8));
+    }
+    const std::vector<double> x = random_values(sys.cells, rng);
+    std::vector<MoebiusMap> linear_maps;
+    std::vector<MoebiusMap> self_maps;
+    for (std::size_t i = 0; i < n; ++i) {
+      linear_maps.push_back(MoebiusMap::affine(linear.mul[i], linear.add[i]));
+      const double s = x[sys.g[i]];
+      self_maps.push_back(MoebiusMap::affine(s * self.c[i] + self.a[i], s * self.d[i] + self.b[i]));
+    }
+
+    for (parallel::ThreadPool* p : {static_cast<parallel::ThreadPool*>(nullptr), &pool}) {
+      SCOPED_TRACE(p != nullptr ? "pooled" : "serial");
+      OrdinaryIrOptions options;
+      options.pool = p;
+      EXPECT_EQ(linear_ir_parallel(linear, x, options), moebius_route(sys, linear_maps, x, p));
+      EXPECT_EQ(self_linear_ir_parallel(self, x, options), moebius_route(sys, self_maps, x, p));
+    }
+    if (routed.engine == PlanEngine::kScan) {
+      // The chain fold keeps the loop's order, so it IS the loop.
+      EXPECT_EQ(linear_ir_parallel(linear, x, {.pool = &pool}), linear_ir_sequential(linear, x));
+    }
+    expect_near(self_linear_ir_parallel(self, x, {.pool = &pool}),
+                self_linear_ir_sequential(self, x), 1e-12);
+  }
 }
 
 TEST(LinearIrTest, ThreadPoolMatches) {

@@ -106,8 +106,19 @@ run_store_leg() {
     echo "store leg: corrupted plan import unexpectedly succeeded" >&2
     exit 1
   fi
-  echo "store leg: ${count} corpus plans exported + re-imported; ordinary auto export" \
-       "and corruption rejected"
+  # A version-3 header (text fingerprints) is refused by name: plan info
+  # exits 1 and says why.
+  local stale="${dir}/plan-store-v3.irplan" why
+  cp "${victim}" "${stale}"
+  printf '\x03' | dd of="${stale}" bs=1 seek=12 count=1 conv=notrunc 2>/dev/null
+  rc=0
+  why="$("${dir}/examples/irtool" plan info "${stale}" 2>&1 >/dev/null)" || rc=$?
+  if [[ "${rc}" != 1 || "${why}" != *"v3 fingerprints hash the system text"* ]]; then
+    echo "store leg: a v3 plan file must exit 1 naming v3, got ${rc}: ${why}" >&2
+    exit 1
+  fi
+  echo "store leg: ${count} corpus plans exported + re-imported; ordinary auto export," \
+       "corruption and a v3 header rejected"
   if [[ "${SERVE}" != "1" ]]; then
     tools/serve_soak.sh "${dir}"
   fi
