@@ -574,8 +574,7 @@ void print_plan_header(const core::PlanFileInfo& info) {
               static_cast<unsigned long long>(info.fingerprint));
   std::printf("store-key    %016llx\n",
               static_cast<unsigned long long>(info.store_key));
-  std::printf("check        bytes=%llu hash2=%016llx\n",
-              static_cast<unsigned long long>(info.check.bytes),
+  std::printf("check        hash2=%016llx\n",
               static_cast<unsigned long long>(info.check.hash2));
   std::printf("cells        %llu\n", static_cast<unsigned long long>(info.cells));
   std::printf("iterations   %llu\n",
