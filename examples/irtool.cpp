@@ -302,7 +302,7 @@ int cmd_solve(const SolveFlags& flags) {
       out = core::execute_plan(*plan, op, init, exec);
       execute_seconds += watch.lap();
     }
-    route = engine == core::EngineChoice::kAuto ? core::to_string(plan->report.route)
+    route = engine == core::EngineChoice::kAuto ? core::to_string(core::analyze(sys).route)
                                                 : flags.engine + " (forced)";
     plan_engine = core::to_string(plan->engine);
   }

@@ -68,9 +68,9 @@ struct SystemReport {
 /// block boundary under parallel::partition_blocks(n, blocks) — the *same*
 /// partition the blocked engine executes, including its uneven tail blocks
 /// when n is not divisible by the block count.  The profile entries in
-/// SystemReport::cross_block_fraction are computed with this function, and
-/// the kAuto routing (plan.cpp's prefer_blocked) judges the exact requested
-/// block count through it rather than a nearest-bucket lookup.
+/// SystemReport::cross_block_fraction are computed with this function.
+/// compile_plan's kAuto routing counts the same crossings on its own pred
+/// forest, at the exact routing block count.
 [[nodiscard]] double measure_cross_block_fraction(const GeneralIrSystem& sys,
                                                   std::size_t blocks);
 

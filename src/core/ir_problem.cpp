@@ -16,7 +16,9 @@ void check_map(const std::vector<std::size_t>& map, std::size_t cells, const cha
 
 }  // namespace
 
-void OrdinaryIrSystem::validate() const {
+void OrdinaryIrSystem::validate() const { (void)validated_writers(); }
+
+std::vector<std::size_t> OrdinaryIrSystem::validated_writers() const {
   IR_REQUIRE(f.size() == g.size(), "index maps f and g must have equal length");
   check_map(f, cells, "f");
   check_map(g, cells, "g");
@@ -29,6 +31,7 @@ void OrdinaryIrSystem::validate() const {
                    " — use the general IR solver for repeated writes");
     writer[g[i]] = i;
   }
+  return writer;
 }
 
 void GeneralIrSystem::validate() const {

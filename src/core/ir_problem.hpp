@@ -41,6 +41,11 @@ struct OrdinaryIrSystem {
   /// Throws ContractViolation unless sizes agree, all indices are in
   /// [0, cells), and g is injective.
   void validate() const;
+
+  /// validate(), returning the array its injectivity check scatters:
+  /// writer[c] = the iteration that writes cell c, or kNone.  compile_plan
+  /// gathers the pred forest from it.
+  [[nodiscard]] std::vector<std::size_t> validated_writers() const;
 };
 
 /// A *general* IR (GIR) system: independent f, g, h, i.e. the loop

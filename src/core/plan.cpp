@@ -1,7 +1,9 @@
 #include "core/plan.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
+#include <utility>
 
 #include "core/general_ir.hpp"
 #include "core/serialize.hpp"
@@ -72,10 +74,6 @@ std::string Plan::describe() const {
 
 namespace detail {
 
-bool prefer_blocked(const GeneralIrSystem& sys, std::size_t blocks, double threshold) {
-  return measure_cross_block_fraction(sys, blocks) < threshold;
-}
-
 void record_exec_stats(const Plan& plan, const ExecOptions& exec) {
   OrdinaryIrStats stats;
   switch (plan.engine) {
@@ -115,40 +113,79 @@ void mix_u64(std::uint64_t& hash, std::uint64_t value) {
   }
 }
 
+/// What one pass over a system's maps tells the compile: the pred forest
+/// through f and the counts kAuto routes on.
+struct Forest {
+  std::vector<std::uint32_t> pred;  ///< latest earlier writer of f(i), or kNoIndex32
+  std::size_t dependences = 0;      ///< reads of earlier writes, through f or h
+  bool ordinary = true;             ///< h = g and no cell written twice
+  bool chain = true;                ///< every pred is the previous iteration or none
+
+  /// Record pred(i) = writer, kNone for a root.
+  void link(std::size_t i, std::size_t writer) {
+    if (writer == kNone) {
+      pred[i] = kNoIndex32;
+      return;
+    }
+    pred[i] = static_cast<std::uint32_t>(writer);
+    ++dependences;
+    chain = chain && writer + 1 == i;
+  }
+};
+
+void require_plan_bounds(std::size_t cells, std::size_t iterations) {
+  IR_REQUIRE(cells < kNoIndex32 && iterations < kNoIndex32,
+             "plans support systems below 2^32-1 cells/iterations");
+}
+
+/// kAuto's routing: elementwise / GIR / scan / blocked-vs-jumping by shape.
+EngineChoice resolve_engine(const Forest& forest, const PlanOptions& options) {
+  if (options.engine != EngineChoice::kAuto) return options.engine;
+  if (forest.dependences == 0) return EngineChoice::kElementwise;
+  if (!forest.ordinary) return EngineChoice::kGeneralCap;
+  if (forest.chain) return EngineChoice::kScan;
+  // The crossing count measure_cross_block_fraction takes on an ordinary
+  // system, whose dependences all run through f: pred(i) < i, so i crosses
+  // exactly when pred(i) is below the start of its block (a root's
+  // kNoIndex32 never is).
+  const std::size_t n = forest.pred.size();
+  const std::size_t blocks = options.pool != nullptr ? options.pool->size() : 4;
+  std::size_t crossing = 0;
+  for (const parallel::Block& block : parallel::partition_blocks(n, blocks)) {
+    for (std::size_t i = block.begin; i < block.end; ++i) {
+      crossing += forest.pred[i] < block.begin ? 1 : 0;
+    }
+  }
+  return static_cast<double>(crossing) / static_cast<double>(n) < options.blocked_threshold
+             ? EngineChoice::kBlocked
+             : EngineChoice::kJumping;
+}
+
 /// Record the per-iteration seed structure: write cell (= g) and, for chain
 /// roots, the untouched cell the root folds in (= f).
 void build_seed_tables(Plan& plan, const std::vector<std::size_t>& f,
                        const std::vector<std::size_t>& g,
-                       const std::vector<std::size_t>& pred) {
+                       const std::vector<std::uint32_t>& pred) {
   const std::size_t n = g.size();
-  plan.write_cell.resize(n);
-  plan.root_cell.resize(n);
+  std::vector<std::uint32_t> write_cell(n);
+  std::vector<std::uint32_t> root_cell(n);
   for (std::size_t i = 0; i < n; ++i) {
-    plan.write_cell[i] = static_cast<std::uint32_t>(g[i]);
-    plan.root_cell[i] = pred[i] == kNone ? static_cast<std::uint32_t>(f[i]) : kNoIndex32;
+    write_cell[i] = static_cast<std::uint32_t>(g[i]);
+    root_cell[i] = pred[i] == kNoIndex32 ? static_cast<std::uint32_t>(f[i]) : kNoIndex32;
   }
+  plan.write_cell = std::move(write_cell);
+  plan.root_cell = std::move(root_cell);
 }
 
-/// True when the pred forest is pure chains in iteration order: every
-/// iteration either starts a chain or continues the immediately preceding
-/// one.  This is the structure the kScan route replays as a sequential
-/// segmented fold.
-bool is_chain_structured(const std::vector<std::size_t>& pred) {
-  for (std::size_t i = 0; i < pred.size(); ++i) {
-    if (pred[i] != kNone && (i == 0 || pred[i] != i - 1)) return false;
-  }
-  return true;
-}
-
-ScanSchedule build_scan_schedule(const std::vector<std::size_t>& pred) {
+ScanSchedule build_scan_schedule(const std::vector<std::uint32_t>& pred) {
   ScanSchedule ss;
   const std::size_t n = pred.size();
-  ss.head.resize(n);
+  std::vector<std::uint8_t> head(n);
   std::size_t run = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    const bool head = pred[i] == kNone;
-    ss.head[i] = head ? 1 : 0;
-    if (head) {
+    const bool is_head = pred[i] == kNoIndex32;
+    head[i] = is_head ? 1 : 0;
+    if (is_head) {
       ++ss.segments;
       run = 1;
     } else {
@@ -156,50 +193,67 @@ ScanSchedule build_scan_schedule(const std::vector<std::size_t>& pred) {
     }
     ss.longest = std::max(ss.longest, run);
   }
+  ss.head = std::move(head);
   return ss;
 }
 
 /// Simulate pointer jumping over the pred forest structurally, recording
-/// every round's (dst, src) moves.  This is exactly the legacy engine's
-/// control flow with values stripped out; the recorded order per round
-/// matches its active-set order, so an executor replay is bit-identical.
-JumpSchedule build_jump_schedule(const std::vector<std::size_t>& pred) {
+/// every round's (dst, src) moves: the synchronous PRAM rounds with values
+/// stripped out, each round's moves in ascending active-set order, so an
+/// executor replay is bit-identical to the legacy engine.
+JumpSchedule build_jump_schedule(const std::vector<std::uint32_t>& pred) {
   JumpSchedule js;
   const std::size_t n = pred.size();
-  std::vector<std::size_t> ptr = pred;
-  std::vector<std::size_t> active;
+  std::vector<std::uint32_t> ptr = pred;
+  std::vector<std::uint32_t> active;
   active.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    if (ptr[i] != kNone) active.push_back(i);
+    if (ptr[i] != kNoIndex32) active.push_back(static_cast<std::uint32_t>(i));
   }
   js.seed_ops = n - active.size();
 
   const std::size_t max_rounds = static_cast<std::size_t>(std::bit_width(n)) + 2;
-  std::vector<std::size_t> new_ptr;
+  std::vector<std::uint32_t> dst;
+  std::vector<std::uint32_t> src;
+  std::vector<std::size_t> round_begin = {0};
   while (!active.empty()) {
-    IR_INVARIANT(js.rounds() < max_rounds, "pointer jumping failed to converge");
-    js.peak_active = std::max(js.peak_active, active.size());
-    new_ptr.resize(active.size());
-    for (std::size_t k = 0; k < active.size(); ++k) {
-      const std::size_t i = active[k];
-      js.dst.push_back(static_cast<std::uint32_t>(i));
-      js.src.push_back(static_cast<std::uint32_t>(ptr[i]));
-      new_ptr[k] = ptr[ptr[i]];
+    IR_INVARIANT(round_begin.size() - 1 < max_rounds, "pointer jumping failed to converge");
+    const std::size_t width = active.size();
+    js.peak_active = std::max(js.peak_active, width);
+    // The round's moves are the active set in order.  Every pointer points
+    // at an earlier iteration, so a descending sweep reads each ptr[p]
+    // before iteration p jumps: the synchronous round, in place.
+    const std::size_t base = dst.size();
+    if (base + width > dst.capacity()) {
+      // Grow to powers of two, as push_back does: capacity stays below
+      // twice the final table, and no growth copies more than half of it.
+      dst.reserve(std::bit_ceil(base + width));
+      src.reserve(std::bit_ceil(base + width));
     }
-    for (std::size_t k = 0; k < active.size(); ++k) ptr[active[k]] = new_ptr[k];
+    dst.insert(dst.end(), active.begin(), active.end());
+    src.resize(base + width);
+    for (std::size_t k = width; k-- > 0;) {
+      const std::uint32_t i = active[k];
+      const std::uint32_t p = ptr[i];
+      src[base + k] = p;
+      ptr[i] = ptr[p];
+    }
     std::size_t kept = 0;
-    for (std::size_t k = 0; k < active.size(); ++k) {
-      if (ptr[active[k]] != kNone) active[kept++] = active[k];
+    for (std::size_t k = 0; k < width; ++k) {
+      if (ptr[active[k]] != kNoIndex32) active[kept++] = active[k];
     }
     active.resize(kept);
-    js.round_begin.push_back(js.dst.size());
+    round_begin.push_back(dst.size());
   }
+  js.dst = std::move(dst);
+  js.src = std::move(src);
+  js.round_begin = std::move(round_begin);
   return js;
 }
 
 /// Precompute the two-level schedule: in-block predecessor links for the
 /// phase-1 sweeps and the (dst, src) fix-up pairs for phase 2, block-major.
-BlockedSchedule build_blocked_schedule(const std::vector<std::size_t>& pred,
+BlockedSchedule build_blocked_schedule(const std::vector<std::uint32_t>& pred,
                                        std::size_t want_blocks) {
   BlockedSchedule bs;
   const std::size_t n = pred.size();
@@ -212,14 +266,14 @@ BlockedSchedule build_blocked_schedule(const std::vector<std::size_t>& pred,
 
   // ext[i]: the still-unresolved predecessor outside i's block, propagated
   // along in-block chains exactly as the legacy phase-1 sweep does.
-  std::vector<std::size_t> ext(n, kNone);
+  std::vector<std::uint32_t> ext(n, kNoIndex32);
   for (const auto& block : bs.blocks) {
     for (std::size_t i = block.begin; i < block.end; ++i) {
-      const std::size_t p = pred[i];
-      if (p == kNone) {
+      const std::uint32_t p = pred[i];
+      if (p == kNoIndex32) {
         ++bs.phase1_ops;  // root seed
       } else if (p >= block.begin) {
-        bs.local_pred[i] = static_cast<std::uint32_t>(p);
+        bs.local_pred[i] = p;
         ext[i] = ext[p];
         ++bs.phase1_ops;
       } else {
@@ -232,9 +286,9 @@ BlockedSchedule build_blocked_schedule(const std::vector<std::size_t>& pred,
   bs.fix_begin.push_back(0);
   for (const auto& block : bs.blocks) {
     for (std::size_t i = block.begin; i < block.end; ++i) {
-      if (ext[i] != kNone) {
+      if (ext[i] != kNoIndex32) {
         bs.fix_dst.push_back(static_cast<std::uint32_t>(i));
-        bs.fix_src.push_back(static_cast<std::uint32_t>(ext[i]));
+        bs.fix_src.push_back(ext[i]);
       }
     }
     if (bs.fix_dst.size() != bs.fix_begin.back()) ++bs.resolve_rounds;
@@ -243,23 +297,26 @@ BlockedSchedule build_blocked_schedule(const std::vector<std::size_t>& pred,
   return bs;
 }
 
-ElementwiseSchedule build_elementwise_schedule(const GeneralIrSystem& sys) {
+/// One entry per written cell, from its final writer's reads.
+ElementwiseSchedule build_elementwise_schedule(const std::vector<std::size_t>& writer,
+                                               const std::vector<std::size_t>& f,
+                                               const std::vector<std::size_t>& h) {
   ElementwiseSchedule es;
-  const std::vector<std::size_t> last = final_writer(sys.g, sys.cells);
-  for (std::size_t cell = 0; cell < sys.cells; ++cell) {
-    const std::size_t i = last[cell];
+  for (std::size_t cell = 0; cell < writer.size(); ++cell) {
+    const std::size_t i = writer[cell];
     if (i == kNone) continue;
     es.cell.push_back(static_cast<std::uint32_t>(cell));
-    es.f.push_back(static_cast<std::uint32_t>(sys.f[i]));
-    es.h.push_back(static_cast<std::uint32_t>(sys.h[i]));
+    es.f.push_back(static_cast<std::uint32_t>(f[i]));
+    es.h.push_back(static_cast<std::uint32_t>(h[i]));
   }
   return es;
 }
 
-GirSchedule build_gir_schedule(const GeneralIrSystem& sys, const PlanOptions& options) {
+/// `last[c]` is the final writer of cell c, or kNone.
+GirSchedule build_gir_schedule(const GeneralIrSystem& sys, const std::vector<std::size_t>& last,
+                               const PlanOptions& options) {
   GirSchedule gs;
   const DependenceGraph graph = build_dependence_graph(sys);
-  const std::vector<std::size_t> last = final_writer(sys.g, sys.cells);
 
   std::vector<std::vector<graph::Edge>> counts;
   if (options.reference_counts) {
@@ -320,6 +377,71 @@ GirSchedule build_gir_schedule(const GeneralIrSystem& sys, const PlanOptions& op
     gs.term_begin.push_back(gs.term_cell.size());
   }
   return gs;
+}
+
+/// Route, check the fit, and build the chosen engine's schedule.  `h` is the
+/// system's h map (g for an ordinary system) and `writer[c]` the final
+/// writer of cell c, or kNone.  A forced engine that does not fit throws
+/// before any schedule table is built.
+template <typename System>
+Plan compile_forest(const System& sys, const std::vector<std::size_t>& h,
+                    std::vector<std::size_t> writer, const Forest& forest,
+                    const PlanOptions& options) {
+  const EngineChoice choice = resolve_engine(forest, options);
+  Plan plan;
+  plan.cells = sys.cells;
+  plan.iterations = sys.iterations();
+  switch (choice) {
+    case EngineChoice::kElementwise:
+      IR_REQUIRE(forest.dependences == 0,
+                 "the elementwise engine needs a recurrence-free system");
+      plan.engine = PlanEngine::kElementwise;
+      plan.elementwise = build_elementwise_schedule(writer, sys.f, h);
+      break;
+
+    case EngineChoice::kJumping:
+    case EngineChoice::kBlocked:
+    case EngineChoice::kScan:
+      IR_REQUIRE(forest.ordinary,
+                 "ordinary engines need an ordinary-shaped system (h = g, g injective)");
+      IR_REQUIRE(choice != EngineChoice::kScan || forest.chain,
+                 "the scan engine needs a chain-structured system "
+                 "(every pred is the previous iteration or none)");
+      writer = std::vector<std::size_t>();  // freed: ordinary schedules read the forest
+      build_seed_tables(plan, sys.f, sys.g, forest.pred);
+      plan.chain = forest.chain;
+      if (choice == EngineChoice::kScan) {
+        plan.engine = PlanEngine::kScan;
+        plan.scan = build_scan_schedule(forest.pred);
+      } else if (choice == EngineChoice::kBlocked) {
+        plan.engine = PlanEngine::kBlocked;
+        const std::size_t want_blocks =
+            options.blocks != 0 ? options.blocks
+                                : (options.pool != nullptr ? options.pool->size() : 1);
+        plan.blocked = build_blocked_schedule(forest.pred, want_blocks);
+      } else {
+        plan.engine = PlanEngine::kJumping;
+        plan.jump = build_jump_schedule(forest.pred);
+      }
+      break;
+
+    case EngineChoice::kGeneralCap:
+      plan.engine = PlanEngine::kGeneralCap;
+      if constexpr (std::is_same_v<System, GeneralIrSystem>) {
+        plan.gir = build_gir_schedule(sys, writer, options);
+      } else {
+        plan.gir = build_gir_schedule(GeneralIrSystem::from_ordinary(sys), writer, options);
+      }
+      break;
+
+    case EngineChoice::kAuto:
+      IR_REQUIRE(false, "routing must have resolved kAuto");
+      break;
+  }
+
+  plan.fingerprint = content_fingerprint(sys);
+  IR_COUNTER_ADD("plan.compiles", 1);
+  return plan;
 }
 
 }  // namespace
@@ -428,100 +550,38 @@ PlanKey plan_key(const OrdinaryIrSystem& sys, const PlanOptions& options) {
 Plan compile_plan(const GeneralIrSystem& sys, const PlanOptions& options) {
   IR_SPAN("plan.compile");
   sys.validate();
-  IR_REQUIRE(sys.cells < kNoIndex32 && sys.iterations() < kNoIndex32,
-             "plans support systems below 2^32-1 cells/iterations");
+  require_plan_bounds(sys.cells, sys.iterations());
 
-  Plan plan;
-  plan.fingerprint = content_fingerprint(sys);
-  plan.report = analyze(sys);
-  plan.cells = sys.cells;
-  plan.iterations = sys.iterations();
-
-  // The ordinary engines and the routing both need the pred forest; compute
-  // it at most once.
-  std::vector<std::size_t> pred;
-  bool have_pred = false;
-  auto pred_forest = [&]() -> const std::vector<std::size_t>& {
-    if (!have_pred) {
-      pred = last_writer_before(sys.g, sys.f, sys.cells);
-      have_pred = true;
-    }
-    return pred;
-  };
-
-  // Routing: elementwise / blocked-vs-jumping / GIR by shape, with one
-  // refinement — chain-structured ordinary systems take the scan fast route
-  // (O(n) sequential fold instead of O(n log n) jumping moves).
-  EngineChoice choice = options.engine;
-  if (choice == EngineChoice::kAuto) {
-    if (plan.report.dependences == 0) {
-      choice = EngineChoice::kElementwise;
-    } else if (sys.h == sys.g && plan.report.repeated_writes == 0) {
-      if (is_chain_structured(pred_forest())) {
-        choice = EngineChoice::kScan;
-      } else {
-        const std::size_t blocks = options.pool != nullptr ? options.pool->size() : 4;
-        choice = detail::prefer_blocked(sys, blocks, options.blocked_threshold)
-                     ? EngineChoice::kBlocked
-                     : EngineChoice::kJumping;
-      }
-    } else {
-      choice = EngineChoice::kGeneralCap;
-    }
+  // One pass: pred through f, both counts, and each cell's final writer
+  // (latest[] once the pass is done).  Reads see only earlier writes.
+  const std::size_t n = sys.iterations();
+  std::vector<std::size_t> latest(sys.cells, kNone);
+  Forest forest;
+  forest.pred.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    forest.link(i, latest[sys.f[i]]);
+    forest.dependences += latest[sys.h[i]] != kNone ? 1 : 0;
+    std::size_t& last = latest[sys.g[i]];
+    forest.ordinary = forest.ordinary && last == kNone && sys.h[i] == sys.g[i];
+    last = i;
   }
-
-  switch (choice) {
-    case EngineChoice::kElementwise:
-      IR_REQUIRE(plan.report.dependences == 0,
-                 "the elementwise engine needs a recurrence-free system");
-      plan.engine = PlanEngine::kElementwise;
-      plan.elementwise = build_elementwise_schedule(sys);
-      break;
-
-    case EngineChoice::kJumping:
-    case EngineChoice::kBlocked:
-    case EngineChoice::kScan: {
-      IR_REQUIRE(sys.h == sys.g && plan.report.repeated_writes == 0,
-                 "ordinary engines need an ordinary-shaped system (h = g, g injective)");
-      const std::vector<std::size_t>& forest = pred_forest();
-      build_seed_tables(plan, sys.f, sys.g, forest);
-      plan.chain = is_chain_structured(forest);
-      if (choice == EngineChoice::kScan) {
-        IR_REQUIRE(plan.chain,
-                   "the scan engine needs a chain-structured system "
-                   "(every pred is the previous iteration or none)");
-        plan.engine = PlanEngine::kScan;
-        plan.scan = build_scan_schedule(forest);
-      } else if (choice == EngineChoice::kBlocked) {
-        plan.engine = PlanEngine::kBlocked;
-        const std::size_t want_blocks =
-            options.blocks != 0 ? options.blocks
-                                : (options.pool != nullptr ? options.pool->size() : 1);
-        plan.blocked = build_blocked_schedule(forest, want_blocks);
-      } else {
-        plan.engine = PlanEngine::kJumping;
-        plan.jump = build_jump_schedule(forest);
-      }
-      break;
-    }
-
-    case EngineChoice::kGeneralCap:
-      plan.engine = PlanEngine::kGeneralCap;
-      plan.gir = build_gir_schedule(sys, options);
-      break;
-
-    case EngineChoice::kAuto:
-      IR_REQUIRE(false, "routing must have resolved kAuto");
-      break;
-  }
-
-  IR_COUNTER_ADD("plan.compiles", 1);
-  return plan;
+  return compile_forest(sys, sys.h, std::move(latest), forest, options);
 }
 
 Plan compile_plan(const OrdinaryIrSystem& sys, const PlanOptions& options) {
-  sys.validate();  // injectivity of g, before the GIR embedding loses the check
-  return compile_plan(GeneralIrSystem::from_ordinary(sys), options);
+  IR_SPAN("plan.compile");
+  require_plan_bounds(sys.cells, sys.iterations());
+  std::vector<std::size_t> writer = sys.validated_writers();
+
+  // g is injective, so pred(i) is the one writer of f(i) when it precedes i.
+  const std::size_t n = sys.iterations();
+  Forest forest;
+  forest.pred.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t w = writer[sys.f[i]];
+    forest.link(i, w < i ? w : kNone);
+  }
+  return compile_forest(sys, sys.g, std::move(writer), forest, options);
 }
 
 }  // namespace ir::core

@@ -1,11 +1,13 @@
 // Plan/execute split of every solver (inspector/executor at the API level).
 //
 // The paper's defining restriction — index maps f, g, h are data-independent
-// — means the entire *schedule* of a solve (classification, pred forest,
+// — means the entire *schedule* of a solve (pred forest, routing,
 // pointer-jumping rounds, block partition, CAP exponents) is a pure function
-// of the maps.  compile_plan() does all of that work once; execute_plan()
-// then replays the schedule against any number of initial-value arrays with
-// pure ⊙ applications and ZERO index-map inspection.  One plan amortizes
+// of the maps.  compile_plan() does all of that work once, in one serial
+// pass: it validates the system once, builds the pred forest once, and
+// routes from counts taken on that forest.  execute_plan() then replays the
+// schedule against any number of initial-value arrays with pure ⊙
+// applications and ZERO index-map inspection.  One plan amortizes
 // across repeated solves (the common production shape: same loop, new data
 // every tick) and across batches (execute_many).
 //
@@ -37,7 +39,6 @@
 #include <vector>
 
 #include "algebra/concepts.hpp"
-#include "core/analyze.hpp"
 #include "core/batch_view.hpp"
 #include "core/engine_types.hpp"
 #include "core/ir_problem.hpp"
@@ -104,7 +105,8 @@ struct PlanOptions {
   parallel::ThreadPool* pool = nullptr;
 
   /// Cross-block dependence fraction below which kAuto prefers the blocked
-  /// solver over pointer jumping.
+  /// solver over pointer jumping, measured at the routing block count (pool
+  /// size, else 4).
   double blocked_threshold = 0.25;
 
   /// Blocked partition size; 0 = one block per pool thread (or 1).
@@ -225,13 +227,13 @@ struct GirSchedule {
   }
 };
 
-/// A compiled solve schedule.  Owns everything execute() needs — including
-/// the SystemReport the routing was based on — so callers never thread raw
-/// out-pointers through the routing layer and never re-touch f, g, h.
+/// A compiled solve schedule.  Owns everything execute() needs, so callers
+/// never re-touch f, g, h.  It carries no analysis report: analyze()
+/// (core/analyze.hpp) is a separate explain step for irtool analyze and
+/// lint.
 struct Plan {
   PlanEngine engine = PlanEngine::kJumping;
   std::uint64_t fingerprint = 0;  ///< content fingerprint of the source system
-  SystemReport report;            ///< the analysis the routing was based on
   std::size_t cells = 0;
   std::size_t iterations = 0;
 
@@ -266,9 +268,18 @@ struct Plan {
   [[nodiscard]] std::string describe() const;
 };
 
-/// Compile a plan for `sys`.  Runs analyze(), builds the pred forest and the
-/// chosen engine's full schedule; throws ContractViolation if a forced
-/// engine does not fit the system's shape.
+/// Compile a plan for `sys` in one serial pass: validate once, build the
+/// pred forest once (the ordinary overload gathers it from g's writer array,
+/// without a GIR copy), route, and build the chosen engine's full schedule.
+/// kAuto reads two counts off the forest:
+///   * no dependence (no read of an earlier write) -> elementwise;
+///   * h = g with no repeated write (ordinary) -> scan when the forest is
+///     pure i-1 chains, else blocked when fewer than blocked_threshold of the
+///     iterations have a pred in an earlier block of the routing partition
+///     (pool size blocks, else 4), else jumping;
+///   * anything else -> gir (CAP).
+/// Throws ContractViolation, before any schedule table is built, if a
+/// forced engine does not fit the system's shape.
 [[nodiscard]] Plan compile_plan(const GeneralIrSystem& sys, const PlanOptions& options = {});
 [[nodiscard]] Plan compile_plan(const OrdinaryIrSystem& sys, const PlanOptions& options = {});
 
@@ -353,11 +364,6 @@ struct PlanKey {
 [[nodiscard]] PlanKey plan_key(const OrdinaryIrSystem& sys, const PlanOptions& options);
 
 namespace detail {
-
-/// Pick blocked vs one-level jumping for an exact block count: measures the
-/// crossing fraction of the real partition_blocks split (analyze.hpp's
-/// measure_cross_block_fraction), never a nearest-bucket profile lookup.
-bool prefer_blocked(const GeneralIrSystem& sys, std::size_t blocks, double threshold);
 
 /// Fill exec's stats sinks for an ordinary-engine plan.  Every figure is a
 /// property of the schedule, so the scalar and wide executors report the

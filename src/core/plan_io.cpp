@@ -394,10 +394,6 @@ LoadedPlan load_plan_bytes(const unsigned char* data, std::size_t size,
   plan->fingerprint = header.fingerprint;
   plan->cells = header.cells;
   plan->iterations = header.iterations;
-  // The report is not serialized: analyze() is cheap relative to schedule
-  // construction, and recomputing it from the embedded system keeps the
-  // verifier's routing-consistency lint honest against file tampering.
-  plan->report = analyze(loaded.system);
   plan->gir.cap_rounds = header.scalars[kScGirCapRounds];
   plan->gir.cap_peak_edges = header.scalars[kScGirCapPeakEdges];
   plan->gir.live_equations = header.scalars[kScGirLiveEquations];

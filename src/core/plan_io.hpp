@@ -16,9 +16,8 @@
 //     — zero copy).  The exponent table, whose arbitrary-precision values
 //     are materialized from the file's limb pool, is the one copy;
 //   * the source system is embedded as its canonical ir-system v1 text, so
-//     a plan file is self-contained: the loader re-derives the fingerprint,
-//     the cache identity and the SystemReport, and runs the full static
-//     verifier against it.
+//     a plan file is self-contained: the loader re-derives the fingerprint
+//     and the cache identity, and runs the full static verifier against it.
 //
 // Trust model: plan files are data, not code, and are treated as untrusted.
 // Loading validates the header, the checksum, and every section bound

@@ -28,6 +28,7 @@ struct Block {
   std::size_t begin;
   std::size_t end;
   std::size_t worker;  ///< which of the P logical workers runs this block
+  friend bool operator==(const Block&, const Block&) = default;
 };
 
 /// Split [0, n) into at most `parts` contiguous blocks of near-equal size.

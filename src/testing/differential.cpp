@@ -162,6 +162,43 @@ void check_plan_io_leg(DifferentialReport& report, const std::string& label,
   }
 }
 
+/// Names of the schedule tables (and scalar groups) on which two compiled
+/// plans differ; empty when they would replay the same schedule.
+std::vector<std::string> plan_differences(const core::Plan& a, const core::Plan& b) {
+  const core::JumpSchedule& aj = a.jump;
+  const core::JumpSchedule& bj = b.jump;
+  const core::BlockedSchedule& ab = a.blocked;
+  const core::BlockedSchedule& bb = b.blocked;
+  const std::pair<const char*, bool> tables[] = {
+      {"engine", a.engine == b.engine},
+      {"fingerprint", a.fingerprint == b.fingerprint},
+      {"shape", a.cells == b.cells && a.iterations == b.iterations && a.chain == b.chain},
+      {"write_cell", a.write_cell == b.write_cell},
+      {"root_cell", a.root_cell == b.root_cell},
+      {"jump.dst", aj.dst == bj.dst},
+      {"jump.src", aj.src == bj.src},
+      {"jump.round_begin", aj.round_begin == bj.round_begin},
+      {"jump.scalars", aj.peak_active == bj.peak_active && aj.seed_ops == bj.seed_ops},
+      {"blocked.blocks", ab.blocks == bb.blocks},
+      {"blocked.local_pred", ab.local_pred == bb.local_pred},
+      {"blocked.fix_dst", ab.fix_dst == bb.fix_dst},
+      {"blocked.fix_src", ab.fix_src == bb.fix_src},
+      {"blocked.fix_begin", ab.fix_begin == bb.fix_begin},
+      {"blocked.scalars",
+       ab.phase1_ops == bb.phase1_ops && ab.resolve_rounds == bb.resolve_rounds},
+      {"scan.head", a.scan.head == b.scan.head},
+      {"scan.scalars", a.scan.segments == b.scan.segments && a.scan.longest == b.scan.longest},
+      {"elementwise.cell", a.elementwise.cell == b.elementwise.cell},
+      {"elementwise.f", a.elementwise.f == b.elementwise.f},
+      {"elementwise.h", a.elementwise.h == b.elementwise.h},
+  };
+  std::vector<std::string> out;
+  for (const auto& [name, same] : tables) {
+    if (!same) out.emplace_back(name);
+  }
+  return out;
+}
+
 }  // namespace
 
 std::string DifferentialReport::summary() const {
@@ -426,6 +463,35 @@ DifferentialReport run_differential(const GeneralIrSystem& sys,
         plan_options.engine = engine;
         plan_options.blocks = options.blocks;
         check_verify_leg(report, label, ord, plan_options);
+      }
+    }
+
+    // The ordinary overload compiles from f and g directly, the GIR overload
+    // from the embedded system: under kAuto and every forced ordinary engine
+    // the two must emit the same plan, table for table.  These legs compare
+    // schedules, not values, so engines_run does not count them.
+    std::vector<std::pair<PlanOptions, std::string>> compile_pairs = {
+        {PlanOptions{}, "compile-agree-auto"},
+        {PlanOptions{.engine = EngineChoice::kJumping}, "compile-agree-jumping"},
+        {PlanOptions{.engine = EngineChoice::kBlocked, .blocks = options.blocks},
+         "compile-agree-blocked"}};
+    if (chain) {
+      compile_pairs.emplace_back(PlanOptions{.engine = EngineChoice::kScan},
+                                 "compile-agree-scan");
+    }
+    if (options.pool != nullptr) {
+      compile_pairs.emplace_back(PlanOptions{.pool = options.pool},
+                                 "compile-agree-auto-pooled");
+    }
+    for (const auto& [plan_options, label] : compile_pairs) {
+      try {
+        const auto differences = plan_differences(core::compile_plan(ord, plan_options),
+                                                  core::compile_plan(sys, plan_options));
+        for (const std::string& table : differences) {
+          report.mismatches.push_back(label + ":" + table);
+        }
+      } catch (const std::exception& e) {
+        report.mismatches.push_back(label + ":threw:" + e.what());
       }
     }
 

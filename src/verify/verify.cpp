@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <utility>
 
-#include "core/analyze.hpp"
 #include "core/serialize.hpp"
 #include "obs/metrics_export.hpp"
 #include "support/bigint.hpp"
@@ -252,20 +251,20 @@ void check_preconditions(Reporter& rep, const Plan& plan, const GeneralIrSystem&
             "plan was compiled from a different system");
   }
 
-  const core::SystemReport fresh = core::analyze(sys);
-  if (fresh.route != plan.report.route || fresh.loop_class != plan.report.loop_class ||
-      fresh.dependences != plan.report.dependences ||
-      fresh.repeated_writes != plan.report.repeated_writes ||
-      fresh.depth != plan.report.depth) {
-    rep.add(CheckFamily::kPrecondition, "plan.report-stale",
-            "embedded SystemReport disagrees with a fresh analyze(): route " +
-                core::to_string(plan.report.route) + " vs " + core::to_string(fresh.route));
-  }
-
-  if (plan.engine == PlanEngine::kElementwise && fresh.dependences != 0) {
-    rep.add(CheckFamily::kPrecondition, "elementwise.has-dependences",
-            "the elementwise route requires a recurrence-free system, analyze() found " +
-                std::to_string(fresh.dependences) + " dependences");
+  if (plan.engine == PlanEngine::kElementwise) {
+    // One forest pass: count the reads, through f or h, of a cell an
+    // earlier iteration wrote.
+    std::vector<bool> written(sys.cells, false);
+    std::size_t dependences = 0;
+    for (std::size_t i = 0; i < sys.iterations(); ++i) {
+      dependences += (written[sys.f[i]] ? 1 : 0) + (written[sys.h[i]] ? 1 : 0);
+      written[sys.g[i]] = true;
+    }
+    if (dependences != 0) {
+      rep.add(CheckFamily::kPrecondition, "elementwise.has-dependences",
+              "the elementwise route requires a recurrence-free system, the system has " +
+                  std::to_string(dependences) + " dependences");
+    }
   }
 
   if (is_ordinary_engine(plan.engine)) {

@@ -27,11 +27,11 @@
 //     powers, is replayed over the free *commutative* monoid instead
 //     (cell -> BigUint exponent maps, the paper's CAP counts).
 //
-//  3. Precondition lint — g injectivity and h = g where an ordinary engine
-//     was selected, schedule-table bounds versus the system's m and n,
-//     seed-table agreement with the recomputed Lemma-1 predecessor forest,
-//     and consistency of the plan's embedded SystemReport with a fresh
-//     analyze() of the maps.
+//  3. Precondition lint — the plan's fingerprint versus the system's, g
+//     injectivity and h = g where an ordinary engine was selected, no
+//     dependence where the elementwise engine was, schedule-table bounds
+//     versus the system's m and n, and seed-table agreement with the
+//     recomputed Lemma-1 predecessor forest.
 //
 // Violations carry (round, move, cell) coordinates into the offending
 // schedule slot.  Reports render human-readable (summary()) and

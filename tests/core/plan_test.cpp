@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 
 #include "algebra/monoids.hpp"
 #include "core/general_ir.hpp"
@@ -140,13 +141,16 @@ TEST(PlanTest, EngineNamesParseFromOneTable) {
   EXPECT_EQ(engine_choice_from_name(""), std::nullopt);
 }
 
-TEST(PlanTest, PlanOwnsItsReport) {
-  // Every route, including elementwise, carries the analysis it routed on.
+TEST(PlanTest, RecurrenceFreeSystemRoutesElementwise) {
+  // No read of an earlier write: kAuto takes the elementwise route on
+  // either overload.
   GeneralIrSystem streaming{8, {6, 7}, {0, 1}, {6, 6}};
-  const Plan plan = compile_plan(streaming);
-  EXPECT_EQ(plan.engine, PlanEngine::kElementwise);
-  EXPECT_EQ(plan.report.route, SolverRoute::kElementwiseParallel);
-  EXPECT_EQ(plan.report.dependences, 0u);
+  EXPECT_EQ(compile_plan(streaming).engine, PlanEngine::kElementwise);
+  OrdinaryIrSystem ordinary;
+  ordinary.cells = 8;
+  ordinary.f = {6, 7};
+  ordinary.g = {0, 1};
+  EXPECT_EQ(compile_plan(ordinary).engine, PlanEngine::kElementwise);
 }
 
 // The tentpole guarantee: execute() consults no index map.  Compile, then
@@ -340,6 +344,261 @@ TEST(PlanTest, CacheKeyMasksOptionsTheRequestedEngineNeverReads) {
   EXPECT_EQ(ord_key.key, plan_cache_key(GeneralIrSystem::from_ordinary(ord), blocked));
   EXPECT_TRUE(ord_key.check == plan_key_check(GeneralIrSystem::from_ordinary(ord), blocked));
   EXPECT_TRUE(ord_key.words == plan_key_words(blocked));
+}
+
+
+/// FNV-1a over every table and schedule scalar of a compiled plan, each
+/// table prefixed by its length: two plans with the same digest replay the
+/// same schedule.
+class PlanDigest {
+ public:
+  void word(std::uint64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash_ ^= (value >> (8 * byte)) & 0xFFu;
+      hash_ *= 1099511628211ull;
+    }
+  }
+  template <typename Table>
+  void table(const Table& values) {
+    word(values.size());
+    for (const auto value : values) word(value);
+  }
+  [[nodiscard]] std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 1469598103934665603ull;
+};
+
+std::uint64_t plan_digest(const Plan& plan) {
+  PlanDigest d;
+  for (const std::uint64_t scalar :
+       {static_cast<std::uint64_t>(plan.engine), plan.fingerprint,
+        static_cast<std::uint64_t>(plan.cells), static_cast<std::uint64_t>(plan.iterations),
+        static_cast<std::uint64_t>(plan.chain)}) {
+    d.word(scalar);
+  }
+  d.table(plan.write_cell);
+  d.table(plan.root_cell);
+
+  const JumpSchedule& js = plan.jump;
+  d.table(js.dst);
+  d.table(js.src);
+  d.table(js.round_begin);
+  d.word(js.peak_active);
+  d.word(js.seed_ops);
+
+  const BlockedSchedule& bs = plan.blocked;
+  d.word(bs.blocks.size());
+  for (const parallel::Block& block : bs.blocks) {
+    d.word(block.begin);
+    d.word(block.end);
+    d.word(block.worker);
+  }
+  d.table(bs.local_pred);
+  d.table(bs.fix_dst);
+  d.table(bs.fix_src);
+  d.table(bs.fix_begin);
+  d.word(bs.phase1_ops);
+  d.word(bs.resolve_rounds);
+
+  d.table(plan.scan.head);
+  d.word(plan.scan.segments);
+  d.word(plan.scan.longest);
+
+  d.table(plan.elementwise.cell);
+  d.table(plan.elementwise.f);
+  d.table(plan.elementwise.h);
+
+  const GirSchedule& gs = plan.gir;
+  d.table(gs.cell);
+  d.table(gs.term_begin);
+  d.table(gs.term_cell);
+  d.word(gs.term_exp.size());
+  for (const support::BigUint& exp : gs.term_exp) d.table(exp.limbs());
+  d.word(gs.cap_rounds);
+  d.word(gs.cap_peak_edges);
+  d.word(gs.live_equations);
+  return d.value();
+}
+
+/// The engine requests every pinned system is compiled under, in the order
+/// of PinnedSystem::digests.
+struct EngineRequest {
+  const char* label;
+  EngineChoice engine;
+  std::size_t pool_threads;  ///< 0 = no pool
+  std::size_t blocks;
+};
+
+constexpr EngineRequest kEngineRequests[] = {
+    {"auto", EngineChoice::kAuto, 0, 0},
+    {"auto-pool4", EngineChoice::kAuto, 4, 0},
+    {"jumping", EngineChoice::kJumping, 0, 0},
+    {"blocked3", EngineChoice::kBlocked, 0, 3},
+    {"scan", EngineChoice::kScan, 0, 0},
+    {"elementwise", EngineChoice::kElementwise, 0, 0},
+    {"gir", EngineChoice::kGeneralCap, 0, 0},
+};
+
+/// Digest of compile_plan(sys, request), or 0 when the request does not fit
+/// the system and the compile throws ContractViolation.
+template <typename System>
+std::uint64_t compiled_digest(const System& sys, const EngineRequest& request,
+                              parallel::ThreadPool& pool4) {
+  PlanOptions options;
+  options.engine = request.engine;
+  options.blocks = request.blocks;
+  if (request.pool_threads != 0) options.pool = &pool4;
+  try {
+    return plan_digest(compile_plan(sys, options));
+  } catch (const support::ContractViolation&) {
+    return 0;
+  }
+}
+
+OrdinaryIrSystem pinned_chain() {
+  OrdinaryIrSystem sys;
+  sys.cells = 201;
+  for (std::size_t i = 0; i < 200; ++i) {
+    sys.f.push_back(i);
+    sys.g.push_back(i + 1);
+  }
+  return sys;
+}
+
+/// Twelve equations whose only dependences, 3 -> 5 and 6 -> 8, cross the
+/// boundaries of three blocks (4 and 8) but none of four blocks (3, 6, 9).
+OrdinaryIrSystem three_block_crossings() {
+  OrdinaryIrSystem sys;
+  sys.cells = 24;
+  for (std::size_t i = 0; i < 12; ++i) {
+    sys.g.push_back(i);
+    sys.f.push_back(i == 5 ? 3 : i == 8 ? 6 : 12 + i);  // else read untouched cells
+  }
+  return sys;
+}
+
+/// Recurrence-free with repeated writes: every read hits a never-written
+/// cell, and g wraps around seven cells.
+GeneralIrSystem recurrence_free_repeated_writes() {
+  GeneralIrSystem sys;
+  sys.cells = 40;
+  for (std::size_t i = 0; i < 30; ++i) {
+    sys.g.push_back(i % 7);
+    sys.f.push_back(7 + (3 * i) % 33);
+    sys.h.push_back(7 + (5 * i) % 33);
+  }
+  return sys;
+}
+
+TEST(PlanTest, SchedulesArePinned) {
+  // Every table and schedule scalar compile_plan emits, pinned per (system,
+  // engine request): a refactor of the compile must reproduce the schedules
+  // byte for byte.  0 pins that the request does not fit the system.
+  parallel::ThreadPool pool4(4);
+  support::SplitMix64 rng(79);
+  const OrdinaryIrSystem chain = pinned_chain();
+  const OrdinaryIrSystem sparse = testing::random_ordinary_system(300, 450, rng, 0.3);
+  const OrdinaryIrSystem dense = testing::random_ordinary_system(300, 450, rng, 0.9);
+  const OrdinaryIrSystem crossings = three_block_crossings();
+  const GeneralIrSystem streaming = recurrence_free_repeated_writes();
+  const GeneralIrSystem general = testing::random_general_system(120, 80, rng, 0.6);
+
+  constexpr std::size_t kRequests = std::size(kEngineRequests);
+  struct Pinned {
+    const char* name;
+    std::uint64_t digests[kRequests];
+  };
+  // Order: auto, auto-pool4, jumping, blocked3, scan, elementwise, gir.
+  const Pinned pinned[] = {
+      {"chain",
+       {0x76e76a58fa39198full, 0x76e76a58fa39198full, 0x82de9ca2bd2d9892ull,
+        0x2f1fdb5913c47957ull, 0x76e76a58fa39198full, 0, 0x446f773f115a53c1ull}},
+      {"rewire-0.3",
+       {0x01e29e7e285f7be4ull, 0x01e29e7e285f7be4ull, 0x01e29e7e285f7be4ull,
+        0xfce614e678572358ull, 0, 0, 0xa31774c784b3257bull}},
+      {"rewire-0.9",
+       {0xe395c107da30c7e2ull, 0xe395c107da30c7e2ull, 0xe395c107da30c7e2ull,
+        0x2f493056203a03d4ull, 0, 0, 0xda950189860ad5a0ull}},
+      {"three-block-crossings",
+       {0x8a1df251cbf44b97ull, 0xe78c6724d17f52a5ull, 0x2258141e328cd6d7ull,
+        0x78b967c2a0ccd56aull, 0, 0, 0x7aef468d234fb725ull}},
+      {"recurrence-free",
+       {0x31b206e33944a11dull, 0x31b206e33944a11dull, 0, 0, 0, 0x31b206e33944a11dull,
+        0x37672804b02fb681ull}},
+      {"general",
+       {0xb2b105266beb7eacull, 0xb2b105266beb7eacull, 0, 0, 0, 0,
+        0xb2b105266beb7eacull}},
+  };
+  for (std::size_t s = 0; s < std::size(pinned); ++s) {
+    for (std::size_t r = 0; r < kRequests; ++r) {
+      const EngineRequest& request = kEngineRequests[r];
+      std::uint64_t got = 0;
+      switch (s) {
+        case 0: got = compiled_digest(chain, request, pool4); break;
+        case 1: got = compiled_digest(sparse, request, pool4); break;
+        case 2: got = compiled_digest(dense, request, pool4); break;
+        case 3: got = compiled_digest(crossings, request, pool4); break;
+        case 4: got = compiled_digest(streaming, request, pool4); break;
+        default: got = compiled_digest(general, request, pool4); break;
+      }
+      EXPECT_EQ(got, pinned[s].digests[r])
+          << pinned[s].name << " / " << request.label << ": got 0x" << std::hex << got;
+    }
+  }
+}
+
+TEST(PlanTest, OrdinaryAndEmbeddedCompilesAgree) {
+  // The ordinary overload compiles from f and g directly; its GIR embedding
+  // (h := g) must compile to the same plan under every engine request, and
+  // a request that does not fit must throw through both.
+  parallel::ThreadPool pool4(4);
+  support::SplitMix64 rng(80);
+  std::vector<OrdinaryIrSystem> systems = {
+      pinned_chain(), three_block_crossings(),
+      testing::random_ordinary_system(300, 450, rng, 0.3),
+      testing::random_ordinary_system(300, 450, rng, 0.9),
+      testing::random_ordinary_system(200, 200, rng, 0.0)};
+  OrdinaryIrSystem streaming;  // recurrence-free: reads never hit a write
+  streaming.cells = 60;
+  for (std::size_t i = 0; i < 30; ++i) {
+    streaming.g.push_back(2 * i);
+    streaming.f.push_back(2 * i + 1);
+  }
+  systems.push_back(streaming);
+  systems.push_back(OrdinaryIrSystem{5, {}, {}});  // no equations
+
+  for (std::size_t s = 0; s < systems.size(); ++s) {
+    const GeneralIrSystem embedded = GeneralIrSystem::from_ordinary(systems[s]);
+    for (const EngineRequest& request : kEngineRequests) {
+      const std::uint64_t ordinary = compiled_digest(systems[s], request, pool4);
+      EXPECT_EQ(ordinary, compiled_digest(embedded, request, pool4))
+          << "system " << s << " / " << request.label;
+    }
+  }
+}
+
+TEST(PlanTest, ForcedEngineMisfitsThrow) {
+  // Forced elementwise needs a recurrence-free system, on either overload.
+  const OrdinaryIrSystem chain = pinned_chain();
+  const PlanOptions elementwise{.engine = EngineChoice::kElementwise};
+  EXPECT_THROW((void)compile_plan(chain, elementwise), support::ContractViolation);
+  EXPECT_THROW((void)compile_plan(GeneralIrSystem::from_ordinary(chain), elementwise),
+               support::ContractViolation);
+
+  // Forced ordinary engines need injective writes: a GIR system with h = g
+  // but a repeated write is refused by all three.
+  const GeneralIrSystem repeated{4, {0, 1, 2}, {1, 2, 1}, {1, 2, 1}};
+  for (const EngineChoice engine :
+       {EngineChoice::kJumping, EngineChoice::kBlocked, EngineChoice::kScan}) {
+    const PlanOptions forced{.engine = engine, .blocks = 2};
+    EXPECT_THROW((void)compile_plan(repeated, forced), support::ContractViolation)
+        << static_cast<int>(engine);
+  }
+
+  // Forced scan needs the chain structure.
+  const PlanOptions scan{.engine = EngineChoice::kScan};
+  EXPECT_THROW((void)compile_plan(three_block_crossings(), scan), support::ContractViolation);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "algebra/monoids.hpp"
+#include "core/analyze.hpp"
 #include "core/general_ir.hpp"
 #include "core/ordinary_ir.hpp"
 #include "core/plan.hpp"
@@ -19,7 +20,7 @@ TEST(SolveRouterTest, StreamingGoesElementwise) {
   const Plan plan = compile_plan(sys);
   const std::vector<std::uint64_t> init{2, 3, 4, 5, 6, 7, 8, 9};
   EXPECT_EQ(execute_plan(plan, op, init), general_ir_sequential(op, sys, init));
-  EXPECT_EQ(plan.report.route, SolverRoute::kElementwiseParallel);
+  EXPECT_EQ(plan.engine, PlanEngine::kElementwise);
 }
 
 TEST(SolveRouterTest, OrdinaryShapedAvoidsCap) {
@@ -53,46 +54,59 @@ TEST(SolveRouterTest, OrdinaryOverloadAcceptsNonCommutativeOps) {
 }
 
 TEST(SolveRouterTest, LocalChainPrefersBlockedSolver) {
+  // Two interleaved local chains, pred(i) = i - 2: not the scan route's i - 1
+  // chains, and 6 of 2048 iterations cross a boundary of 4 blocks.
   const std::size_t n = 2048;
   OrdinaryIrSystem sys;
-  sys.cells = n + 1;
+  sys.cells = n + 2;
   for (std::size_t i = 0; i < n; ++i) {
     sys.f.push_back(i);
-    sys.g.push_back(i + 1);
+    sys.g.push_back(i + 2);
   }
-  std::vector<std::uint64_t> init(n + 1, 1);
-  const PlanOptions options;
+  std::vector<std::uint64_t> init(n + 2, 1);
+  parallel::ThreadPool pool(4);
+  const PlanOptions options{.pool = &pool};
   const Plan plan = compile_plan(sys, options);
+  EXPECT_EQ(plan.engine, PlanEngine::kBlocked);
   const auto op = algebra::AddMonoid<std::uint64_t>{};
   EXPECT_EQ(execute_plan(plan, op, init), ordinary_ir_sequential(op, sys, init));
-  ASSERT_FALSE(plan.report.cross_block_fraction.empty());
-  EXPECT_TRUE(detail::prefer_blocked(GeneralIrSystem::from_ordinary(sys), 4,
-                                     options.blocked_threshold));
+  ASSERT_FALSE(analyze(sys).cross_block_fraction.empty());
+  EXPECT_LT(measure_cross_block_fraction(GeneralIrSystem::from_ordinary(sys), 4),
+            options.blocked_threshold);
 }
 
 TEST(SolveRouterTest, ScatteredSystemPrefersJumping) {
   support::SplitMix64 rng(144);
   const auto sys = testing::random_ordinary_system(2048, 4096, rng, 0.95);
-  EXPECT_FALSE(detail::prefer_blocked(GeneralIrSystem::from_ordinary(sys), 4, 0.25));
+  parallel::ThreadPool pool(4);
+  EXPECT_EQ(compile_plan(sys, {.pool = &pool, .blocked_threshold = 0.25}).engine,
+            PlanEngine::kJumping);
+  EXPECT_GE(measure_cross_block_fraction(GeneralIrSystem::from_ordinary(sys), 4), 0.25);
 }
 
 TEST(SolveRouterTest, PreferBlockedJudgesExactBlockCountNotNearestBucket) {
-  // n = 12 with dependences crossing exactly the 3-block boundaries (4 and
-  // 8) but none of the 4-block ones: the old nearest-power-of-two lookup
-  // rounded a 3-block request up to the 4-block profile entry (fraction 0)
-  // and wrongly preferred blocked; the exact partition sees 2/12 crossings.
+  // n = 12 with dependences (3 -> 5 and 6 -> 8) crossing exactly the 3-block
+  // boundaries (4 and 8) but none of the 4-block ones: a nearest-power-of-two
+  // lookup would round a 3-block request up to the 4-block profile entry
+  // (fraction 0) and wrongly prefer blocked; the exact partition sees 2/12
+  // crossings.  Neither read is of the previous iteration, so kAuto does not
+  // take the scan route first.
   OrdinaryIrSystem sys;
   sys.cells = 24;
   for (std::size_t i = 0; i < 12; ++i) {
     sys.g.push_back(i);
-    sys.f.push_back(i == 4 || i == 8 ? i - 1 : 12 + i);  // else read untouched cells
+    sys.f.push_back(i == 5 ? 3 : i == 8 ? 6 : 12 + i);  // else read untouched cells
   }
   EXPECT_NEAR(measure_cross_block_fraction(GeneralIrSystem::from_ordinary(sys), 3),
               2.0 / 12.0, 1e-12);
   EXPECT_NEAR(measure_cross_block_fraction(GeneralIrSystem::from_ordinary(sys), 4),
               0.0, 1e-12);
-  EXPECT_FALSE(detail::prefer_blocked(GeneralIrSystem::from_ordinary(sys), 3, 0.1));
-  EXPECT_TRUE(detail::prefer_blocked(GeneralIrSystem::from_ordinary(sys), 4, 0.1));
+  parallel::ThreadPool three(3);
+  parallel::ThreadPool four(4);
+  EXPECT_EQ(compile_plan(sys, {.pool = &three, .blocked_threshold = 0.1}).engine,
+            PlanEngine::kJumping);
+  EXPECT_EQ(compile_plan(sys, {.pool = &four, .blocked_threshold = 0.1}).engine,
+            PlanEngine::kBlocked);
 }
 
 TEST(SolveRouterTest, PooledRoutesMatch) {

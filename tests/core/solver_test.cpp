@@ -376,14 +376,15 @@ TEST(SolverTest, StoreWritesCanBeDisabled) {
 
 TEST(SolveRouterReportTest, ReportOutFilledOnEveryRoute) {
   // The elementwise route historically skipped its report on one overload;
-  // the plan owns its report now, so every route (and overload) carries it.
+  // through the Solver, both overloads now route a recurrence-free system
+  // to the elementwise plan.
   ModMulMonoid op(97);
   Solver solver;
   {
     GeneralIrSystem streaming{8, {6, 7}, {0, 1}, {6, 6}};
     const auto plan = solver.compile(streaming);
     (void)solver.execute(*plan, op, std::vector<std::uint64_t>(8, 1));
-    EXPECT_EQ(plan->report.route, SolverRoute::kElementwiseParallel);
+    EXPECT_EQ(plan->engine, PlanEngine::kElementwise);
   }
   {
     OrdinaryIrSystem streaming;
@@ -392,8 +393,7 @@ TEST(SolveRouterReportTest, ReportOutFilledOnEveryRoute) {
     streaming.g = {0, 1};
     const auto plan = solver.compile(streaming);
     (void)solver.execute(*plan, op, std::vector<std::uint64_t>(8, 1));
-    EXPECT_EQ(plan->report.route, SolverRoute::kElementwiseParallel);
-    EXPECT_EQ(plan->report.dependences, 0u);
+    EXPECT_EQ(plan->engine, PlanEngine::kElementwise);
   }
 }
 

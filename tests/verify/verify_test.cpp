@@ -200,21 +200,30 @@ TEST(VerifyRejectionTest, OperandOrderSwapInvisibleToCommutativeDiffButCaughtSym
   EXPECT_EQ(v->cell, 0u);  // the swapped slot writes cell g[0] = 0
 }
 
-TEST(VerifyRejectionTest, FingerprintAndReportTamperingFlagged) {
+TEST(VerifyRejectionTest, FingerprintTamperingFlagged) {
   const OrdinaryIrSystem sys = chain_system(6);
-  Plan plan = core::compile_plan(sys);
-
-  Plan wrong_fp = plan;
+  Plan wrong_fp = core::compile_plan(sys);
   wrong_fp.fingerprint ^= 1;
   const VerifyReport fp_report = verify_plan(wrong_fp, sys);
   EXPECT_FALSE(fp_report.ok());
   EXPECT_NE(find_violation(fp_report, "plan.fingerprint-mismatch"), nullptr);
+}
 
-  Plan stale = plan;
-  stale.report.dependences += 1;
-  const VerifyReport stale_report = verify_plan(stale, sys);
-  EXPECT_FALSE(stale_report.ok());
-  EXPECT_NE(find_violation(stale_report, "plan.report-stale"), nullptr);
+TEST(VerifyRejectionTest, ElementwisePlanOnARecurrenceFlagged) {
+  // An elementwise plan, verified against the same system with one read
+  // redirected at an earlier write: the plan would read a stale value.
+  const GeneralIrSystem streaming{8, {6, 7, 5}, {0, 1, 2}, {6, 6, 4}};
+  const Plan plan = core::compile_plan(streaming);
+  ASSERT_EQ(plan.engine, core::PlanEngine::kElementwise);
+  ASSERT_TRUE(verify_plan(plan, streaming).ok());
+
+  GeneralIrSystem recurrence = streaming;
+  recurrence.f[2] = recurrence.g[0];  // iteration 2 now reads iteration 0's write
+  const VerifyReport report = verify_plan(plan, recurrence);
+  EXPECT_FALSE(report.ok());
+  const Violation* v = find_violation(report, "elementwise.has-dependences");
+  ASSERT_NE(v, nullptr);
+  EXPECT_NE(v->message.find("1 dependences"), std::string::npos) << v->message;
 }
 
 TEST(VerifyRejectionTest, OutOfBoundsScheduleIndexStopsDeeperChecks) {
