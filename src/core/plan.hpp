@@ -358,6 +358,7 @@ struct PlanKey {
   std::uint64_t key = 0;
   PlanKeyCheck check;
   PlanKeyWords words;
+  friend bool operator==(const PlanKey&, const PlanKey&) = default;
 };
 
 [[nodiscard]] PlanKey plan_key(const GeneralIrSystem& sys, const PlanOptions& options);

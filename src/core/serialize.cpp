@@ -7,7 +7,9 @@ namespace ir::core {
 
 namespace {
 
-/// Line-oriented tokenizer: strips comments/blank lines, tracks line numbers
+constexpr bool is_blank(char c) noexcept { return c == ' ' || c == '\t'; }
+
+/// Line-oriented reader: strips comments/blank lines, tracks line numbers
 /// for diagnostics.
 class LineReader {
  public:
@@ -39,6 +41,35 @@ class LineReader {
     return false;
   }
 
+  /// Read the next line in one pass when it is plain: `want` tokens (any
+  /// number when 0) separated by runs of ' ' or '\t', with no blank before
+  /// the first or after the last, ended by '\n'.  `token(p, end)` reads one
+  /// token at p and advances p past it, or returns false when it cannot; a
+  /// token must end at a blank or the newline, so '#' and '\r' make a line
+  /// not plain.  A plain line is consumed and true returned.  Otherwise
+  /// nothing is consumed, and the caller reads the line again through
+  /// next(), whose outcome and message are the reference for every line
+  /// this declines.
+  template <typename Token>
+  bool next_plain(std::size_t want, Token&& token) {
+    if (pos_ >= text_.size()) return false;
+    const char* p = text_.data() + pos_;
+    const char* const end = text_.data() + text_.size();
+    for (std::size_t k = 1;; ++k) {
+      if (!token(p, end) || p == end) return false;
+      if (*p == '\n') {
+        if (want != 0 && k != want) return false;
+        break;
+      }
+      if (k == want || !is_blank(*p)) return false;
+      do ++p;
+      while (p != end && is_blank(*p));
+    }
+    pos_ = static_cast<std::size_t>(p - text_.data()) + 1;
+    ++line_number_;
+    return true;
+  }
+
   [[noreturn]] void fail(const std::string& what) const {
     throw support::ContractViolation("line " + std::to_string(line_number_) + ": " + what);
   }
@@ -51,18 +82,25 @@ class LineReader {
   std::size_t line_number_ = 0;
 };
 
-/// Split a line into whitespace-separated tokens.
-std::vector<std::string_view> tokens_of(std::string_view line) {
-  std::vector<std::string_view> tokens;
-  std::size_t i = 0;
-  while (i < line.size()) {
-    while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
-    std::size_t start = i;
-    while (i < line.size() && line[i] != ' ' && line[i] != '\t') ++i;
-    if (i > start) tokens.push_back(line.substr(start, i - start));
+/// The readers' one tokenizer: the tokens of a line split on runs of ' ' and
+/// '\t', without allocating.
+class Tokens {
+ public:
+  explicit Tokens(std::string_view line) noexcept : line_(line) {}
+
+  /// The next token; false when the line has none left.
+  bool next(std::string_view& token) noexcept {
+    while (pos_ < line_.size() && is_blank(line_[pos_])) ++pos_;
+    const std::size_t start = pos_;
+    while (pos_ < line_.size() && !is_blank(line_[pos_])) ++pos_;
+    token = line_.substr(start, pos_ - start);
+    return pos_ > start;
   }
-  return tokens;
-}
+
+ private:
+  std::string_view line_;
+  std::size_t pos_ = 0;
+};
 
 std::size_t parse_size(const LineReader& reader, std::string_view token) {
   std::size_t value = 0;
@@ -86,6 +124,22 @@ double parse_double(const LineReader& reader, std::string_view token) {
   return value;
 }
 
+/// A token of 1 to 19 decimal digits, accumulated as it is scanned.  Such a
+/// token is below 2^64, so from_chars would read the same size_t; a longer,
+/// signed or empty token is refused and left to parse_size.
+bool read_digits(const char*& p, const char* end, std::size_t& out) noexcept {
+  const char* const start = p;
+  std::uint64_t value = 0;
+  while (p != end) {
+    const unsigned digit = static_cast<unsigned char>(*p) - unsigned{'0'};
+    if (digit > 9) break;
+    value = value * 10 + digit;  // wraps only past 19 digits, which are refused
+    ++p;
+  }
+  out = value;
+  return p != start && p - start <= 19;
+}
+
 void expect_header(LineReader& reader, std::string_view magic) {
   std::string_view line;
   if (!reader.next(line) || line != magic) {
@@ -96,11 +150,24 @@ void expect_header(LineReader& reader, std::string_view magic) {
 std::size_t expect_sized_field(LineReader& reader, std::string_view key) {
   std::string_view line;
   if (!reader.next(line)) reader.fail("unexpected end of input");
-  const auto tokens = tokens_of(line);
-  if (tokens.size() != 2 || tokens[0] != key) {
+  Tokens tokens(line);
+  std::string_view name;
+  std::string_view count;
+  std::string_view extra;
+  if (!tokens.next(name) || name != key || !tokens.next(count) || tokens.next(extra)) {
     reader.fail("expected '" + std::string(key) + " <count>'");
   }
-  return parse_size(reader, tokens[1]);
+  return parse_size(reader, count);
+}
+
+/// An equation line that next_plain declined, read token by token.
+void read_triple(const LineReader& reader, std::string_view line, std::size_t (&out)[3]) {
+  Tokens tokens(line);
+  std::string_view token[4];
+  std::size_t count = 0;
+  while (count < 4 && tokens.next(token[count])) ++count;
+  if (count != 3) reader.fail("expected 'f g h' triple");
+  for (std::size_t k = 0; k < 3; ++k) out[k] = parse_size(reader, token[k]);
 }
 
 /// Reject declared element counts that cannot possibly fit the document —
@@ -261,15 +328,22 @@ GeneralIrSystem system_from_text(std::string_view text) {
   sys.f.reserve(n);
   sys.g.reserve(n);
   sys.h.reserve(n);
+  std::size_t triple[3] = {};
+  std::size_t* slot = triple;
+  const auto index = [&slot](const char*& p, const char* end) {
+    return read_digits(p, end, *slot++);
+  };
   for (std::size_t i = 0; i < n; ++i) {
-    std::string_view line;
-    if (!reader.next(line)) reader.fail("expected " + std::to_string(n) +
-                                        " equations, got " + std::to_string(i));
-    const auto tokens = tokens_of(line);
-    if (tokens.size() != 3) reader.fail("expected 'f g h' triple");
-    sys.f.push_back(parse_size(reader, tokens[0]));
-    sys.g.push_back(parse_size(reader, tokens[1]));
-    sys.h.push_back(parse_size(reader, tokens[2]));
+    slot = triple;
+    if (!reader.next_plain(3, index)) {
+      std::string_view line;
+      if (!reader.next(line)) reader.fail("expected " + std::to_string(n) +
+                                          " equations, got " + std::to_string(i));
+      read_triple(reader, line, triple);
+    }
+    sys.f.push_back(triple[0]);
+    sys.g.push_back(triple[1]);
+    sys.h.push_back(triple[2]);
   }
   std::string_view extra;
   if (reader.next(extra)) reader.fail("trailing content after the last equation");
@@ -304,9 +378,28 @@ std::vector<double> values_from_text(std::string_view text) {
   check_count_plausible(reader, count, text.size());
   std::vector<double> values;
   values.reserve(count);
+  // A plain line's values are kept as they are read; a line that turns out
+  // not to be plain drops them and is read again token by token.  from_chars
+  // never reads a blank or a newline, so where next_plain accepts its stop,
+  // the token it read is the whole token parse_double would see.
+  const auto number = [&values, count](const char*& p, const char* end) {
+    double value = 0.0;
+    if (values.size() == count) return false;
+    const auto [ptr, ec] = std::from_chars(p, end, value);
+    if (ec != std::errc{}) return false;
+    p = ptr;
+    values.push_back(value);
+    return true;
+  };
   std::string_view line;
-  while (values.size() < count && reader.next(line)) {
-    for (const auto token : tokens_of(line)) {
+  while (values.size() < count) {
+    const std::size_t kept = values.size();
+    if (reader.next_plain(0, number)) continue;
+    values.resize(kept);
+    if (!reader.next(line)) break;
+    Tokens tokens(line);
+    std::string_view token;
+    while (tokens.next(token)) {
       if (values.size() == count) reader.fail("more values than declared");
       values.push_back(parse_double(reader, token));
     }

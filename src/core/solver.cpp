@@ -88,10 +88,8 @@ std::shared_ptr<const Plan> Solver::compile_keyed(
 
 template <typename System>
 std::shared_ptr<const Plan> Solver::compile_impl(const System& sys,
-                                                 const PlanOptions& options) {
-  // One pass over the index words yields the key, the collision double-check,
-  // and the option words the store write-through records.
-  const PlanKey identity = plan_key(sys, options);
+                                                 const PlanOptions& options,
+                                                 const PlanKey& identity) {
   return compile_keyed(identity.key, identity.check,
                        [&]() -> std::shared_ptr<const Plan> {
     // Store read-through, leader-only: a warm store turns a cache miss into
@@ -125,12 +123,24 @@ std::shared_ptr<const Plan> Solver::compile_impl(const System& sys,
 
 std::shared_ptr<const Plan> Solver::compile(const GeneralIrSystem& sys,
                                             const PlanOptions& options) {
-  return compile_impl(sys, options);
+  // One pass over the index words yields the key, the collision
+  // double-check, and the option words the store write-through records.
+  return compile_impl(sys, options, plan_key(sys, options));
 }
 
 std::shared_ptr<const Plan> Solver::compile(const OrdinaryIrSystem& sys,
                                             const PlanOptions& options) {
-  return compile_impl(sys, options);
+  return compile_impl(sys, options, plan_key(sys, options));
+}
+
+std::shared_ptr<const Plan> Solver::compile(const GeneralIrSystem& sys,
+                                            const PlanOptions& options,
+                                            const PlanKey& key) {
+#if defined(IR_VERIFY_PLANS_ENABLED)
+  IR_INVARIANT(key == plan_key(sys, options),
+               "a carried plan key must equal plan_key(sys, options)");
+#endif
+  return compile_impl(sys, options, key);
 }
 
 std::size_t plan_cache_capacity_from_env(std::size_t fallback) {

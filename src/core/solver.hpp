@@ -71,6 +71,14 @@ class Solver {
   [[nodiscard]] std::shared_ptr<const Plan> compile(const OrdinaryIrSystem& sys,
                                                     const PlanOptions& options = {});
 
+  /// compile() with the key its caller already holds — the batch-solve
+  /// server computes one per request to coalesce on — so the system is not
+  /// hashed again.  `key` must be plan_key(sys, options); IR_VERIFY_PLANS
+  /// builds check that it is.
+  [[nodiscard]] std::shared_ptr<const Plan> compile(const GeneralIrSystem& sys,
+                                                    const PlanOptions& options,
+                                                    const PlanKey& key);
+
   /// Number of compile_plan runs this solver actually performed (cache hits
   /// and single-flight followers excluded).
   [[nodiscard]] std::uint64_t plan_compiles() const noexcept {
@@ -131,10 +139,11 @@ class Solver {
       std::uint64_t key, const PlanKeyCheck& check,
       const std::function<std::shared_ptr<const Plan>()>& build);
 
-  /// Shared body of the two compile() overloads: key/check computation,
-  /// store read-through, compile + verify, store write-through.
+  /// Shared body of the compile() overloads: store read-through, compile +
+  /// verify, store write-through, all under `identity`.
   template <typename System>
-  std::shared_ptr<const Plan> compile_impl(const System& sys, const PlanOptions& options);
+  std::shared_ptr<const Plan> compile_impl(const System& sys, const PlanOptions& options,
+                                           const PlanKey& identity);
 
   SolverConfig config_;
   PlanCache cache_;  // internally locked

@@ -97,30 +97,33 @@ bool set_nonblocking(int fd) {
   return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
 }
 
+/// The response as written to the socket, in a string of exactly its size:
+/// the head is built first, so the body is copied once.
 std::string serialize_response(const HttpResponse& response, bool keep_alive) {
-  std::string out;
-  out.reserve(128 + response.body.size());
-  out += "HTTP/1.1 ";
-  out += std::to_string(response.status);
-  out += ' ';
-  out += status_reason(response.status);
-  out += "\r\n";
+  std::string head = "HTTP/1.1 ";
+  head += std::to_string(response.status);
+  head += ' ';
+  head += status_reason(response.status);
+  head += "\r\n";
   if (!response.content_type.empty()) {
-    out += "Content-Type: ";
-    out += response.content_type;
-    out += "\r\n";
+    head += "Content-Type: ";
+    head += response.content_type;
+    head += "\r\n";
   }
-  out += "Content-Length: ";
-  out += std::to_string(response.body.size());
-  out += "\r\n";
+  head += "Content-Length: ";
+  head += std::to_string(response.body.size());
+  head += "\r\n";
   for (const auto& [name, value] : response.extra_headers) {
-    out += name;
-    out += ": ";
-    out += value;
-    out += "\r\n";
+    head += name;
+    head += ": ";
+    head += value;
+    head += "\r\n";
   }
-  out += keep_alive ? "Connection: keep-alive\r\n" : "Connection: close\r\n";
-  out += "\r\n";
+  head += keep_alive ? "Connection: keep-alive\r\n" : "Connection: close\r\n";
+  head += "\r\n";
+  std::string out;
+  out.reserve(head.size() + response.body.size());
+  out += head;
   out += response.body;
   return out;
 }
@@ -341,7 +344,12 @@ void HttpServer::queue_response(const ConnPtr& conn, const HttpResponse& respons
                                 bool keep_alive) {
   stats_.responses.fetch_add(1, std::memory_order_relaxed);
   if (!keep_alive) conn->close_after_write = true;
-  conn->outbuf += serialize_response(response, keep_alive);
+  std::string wire = serialize_response(response, keep_alive);
+  if (conn->outbuf.empty()) {
+    conn->outbuf = std::move(wire);  // flush_writes zeroes out_off when it empties outbuf
+  } else {
+    conn->outbuf += wire;  // behind a response still being written
+  }
   conn->last_activity = Clock::now();
   flush_writes(conn);
 }

@@ -28,6 +28,7 @@
 
 #include <functional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -255,11 +256,23 @@ class HttpTier {
       return;
     }
 
+    // Decode the body where it lies.  Only a body with a CR is copied, into
+    // the string form, which drops line-end CRs as the newline transport
+    // does: the readers trim them too, but the message for an implausible
+    // count names the document's size, which must not count them.
     std::string_view rest = request.body;
-    std::string sys_doc;
-    std::string values_doc;
-    if (!line_protocol::take_document(rest, sys_doc) ||
-        (args.inline_values && !line_protocol::take_document(rest, values_doc))) {
+    const bool has_cr = rest.find('\r') != std::string_view::npos;
+    std::string_view sys_doc;
+    std::string_view values_doc;
+    std::string copies[2];
+    const auto take = [&rest, has_cr](std::string_view& doc, std::string& copy) {
+      if (!has_cr) return line_protocol::take_document(rest, doc);
+      const bool found = line_protocol::take_document(rest, copy);
+      doc = copy;
+      return found;
+    };
+    if (!take(sys_doc, copies[0]) ||
+        (args.inline_values && !take(values_doc, copies[1]))) {
       responder.send(text_response(
           400, line_protocol::error_line(args.id, Status::kRejectedInvalid,
                                          "eof-before-terminator") +
@@ -290,8 +303,7 @@ class HttpTier {
             http.status = http_status_for(result.status);
             http.content_type = "text/plain";
             if (result.ok()) {
-              http.body = line_protocol::ok_line(id, result) + "\n" +
-                          line_protocol::values_line(result.values) + "\n";
+              http.body = line_protocol::ok_reply(id, result);
             } else {
               http.body =
                   line_protocol::error_line(id, result.status, result.error) + "\n";

@@ -1,6 +1,9 @@
 #include "service/line_protocol.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cctype>
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
 
@@ -40,13 +43,62 @@ std::string ok_line(std::uint64_t id, const Response& response) {
   return line;
 }
 
-std::string values_line(const std::vector<Value>& values) {
-  std::string line = "values " + std::to_string(values.size());
-  for (const auto v : values) {
-    line += ' ';
-    line += std::to_string(v);
+namespace {
+
+/// Decimal digits of v, without a division: the bit width b leaves two
+/// candidates, t = floor(b * 1233 / 4096) (1233 / 4096 is just below
+/// log10 2) and t + 1, and one comparison with 10^t picks.
+std::size_t decimal_digits(std::uint64_t v) noexcept {
+  static constexpr std::uint64_t kPow10[20] = {
+      1ull, 10ull, 100ull, 1'000ull, 10'000ull, 100'000ull, 1'000'000ull, 10'000'000ull,
+      100'000'000ull, 1'000'000'000ull, 10'000'000'000ull, 100'000'000'000ull,
+      1'000'000'000'000ull, 10'000'000'000'000ull, 100'000'000'000'000ull,
+      1'000'000'000'000'000ull, 10'000'000'000'000'000ull, 100'000'000'000'000'000ull,
+      1'000'000'000'000'000'000ull, 10'000'000'000'000'000'000ull};
+  // v | 1 gives 0 one digit and moves no value across a power of ten.
+  const std::uint64_t w = v | 1;
+  const std::size_t t = (static_cast<std::size_t>(std::bit_width(w)) * 1233) >> 12;
+  return t + (w >= kPow10[t] ? 1 : 0);
+}
+
+constexpr std::string_view kValuesWord = "values ";
+
+std::size_t values_line_size(const std::vector<Value>& values) noexcept {
+  std::size_t size = kValuesWord.size() + decimal_digits(values.size()) + values.size();
+  for (const Value v : values) size += decimal_digits(v);
+  return size;
+}
+
+/// Write values_line into [out, end), which must be values_line_size bytes.
+void write_values_line(char* out, char* end, const std::vector<Value>& values) {
+  char* p = std::copy(kValuesWord.begin(), kValuesWord.end(), out);
+  p = std::to_chars(p, end, values.size()).ptr;
+  for (const Value v : values) {
+    *p++ = ' ';
+    p = std::to_chars(p, end, v).ptr;
   }
+  IR_INVARIANT(p == end, "values line must fill exactly its sized buffer");
+}
+
+}  // namespace
+
+std::string values_line(const std::vector<Value>& values) {
+  std::string line(values_line_size(values), '\0');
+  write_values_line(line.data(), line.data() + line.size(), values);
   return line;
+}
+
+std::string ok_reply(std::uint64_t id, const Response& response) {
+  std::string body = ok_line(id, response);
+  const std::size_t values_at = body.size() + 1;
+  const std::size_t values_size = values_line_size(response.values);
+  // The ok line grows once, to exactly the body's size.  The '\n' fill is
+  // the separator after the ok line and the final newline, the two bytes
+  // the values line leaves alone.
+  body.resize(values_at + values_size + 1, '\n');
+  char* const values = body.data() + values_at;
+  write_values_line(values, values + values_size, response.values);
+  return body;
 }
 
 std::string error_line(std::uint64_t id, Status status, std::string detail) {
@@ -107,21 +159,43 @@ std::vector<std::string> split_tokens(const std::string& line) {
   return tokens;
 }
 
-bool take_document(std::string_view& rest, std::string& doc) {
-  doc.clear();
-  while (!rest.empty()) {
-    const std::size_t nl = rest.find('\n');
-    std::string_view line =
-        nl == std::string_view::npos ? rest : rest.substr(0, nl);
-    rest = nl == std::string_view::npos ? std::string_view() : rest.substr(nl + 1);
-    while (!line.empty() && (line.back() == '\n' || line.back() == '\r')) {
-      line.remove_suffix(1);
-    }
-    if (line == ".") return true;
-    doc.append(line);
-    doc.push_back('\n');
+bool take_document(std::string_view& rest, std::string_view& doc) {
+  // Only a '.' that starts a line can start the terminator, so the scan
+  // jumps from '.' to '.' (memchr) instead of walking lines.
+  for (std::size_t dot = rest.find('.'); dot != std::string_view::npos;
+       dot = rest.find('.', dot + 1)) {
+    if (dot != 0 && rest[dot - 1] != '\n') continue;
+    std::size_t end = dot + 1;
+    while (end < rest.size() && rest[end] == '\r') ++end;
+    if (end < rest.size() && rest[end] != '\n') continue;
+    doc = rest.substr(0, dot);
+    rest = end < rest.size() ? rest.substr(end + 1) : std::string_view();
+    return true;
   }
+  doc = rest;
+  rest = std::string_view();
   return false;
+}
+
+bool take_document(std::string_view& rest, std::string& doc) {
+  std::string_view view;
+  const bool found = take_document(rest, view);
+  // Only an unterminated last line (no terminator found) lacks its '\n'.
+  const bool unterminated = !view.empty() && view.back() != '\n';
+  // Copy the document but for each line's trailing CRs, jumping from CR to
+  // CR: a run of CRs is dropped where it ends a line, kept mid-line.
+  doc.clear();
+  for (std::size_t cr = view.find('\r'); cr != std::string_view::npos;
+       cr = view.find('\r')) {
+    std::size_t end = cr;
+    while (end < view.size() && view[end] == '\r') ++end;
+    const bool ends_line = end == view.size() || view[end] == '\n';
+    doc.append(view.substr(0, ends_line ? cr : end));
+    view.remove_prefix(end);
+  }
+  doc.append(view);
+  if (unterminated) doc.push_back('\n');
+  return found;
 }
 
 bool apply_solve_attr(const std::string& key, const std::string& value,

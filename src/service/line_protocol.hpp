@@ -35,8 +35,13 @@ using Response = BasicResponse<Value>;
 /// "ok id=... rid=... engine=... ... checksum=..." (no trailing newline).
 [[nodiscard]] std::string ok_line(std::uint64_t id, const Response& response);
 
-/// "values C v0 v1 ... v{C-1}" (no trailing newline).
+/// "values C v0 v1 ... v{C-1}" (no trailing newline), written with
+/// std::to_chars into a string of exactly its size.
 [[nodiscard]] std::string values_line(const std::vector<Value>& values);
+
+/// The body of a solved request's reply: ok_line + "\n" + values_line +
+/// "\n", written once into a string of exactly its size.
+[[nodiscard]] std::string ok_reply(std::uint64_t id, const Response& response);
 
 /// "error id=N status=S detail=D" with newlines in the detail flattened.
 [[nodiscard]] std::string error_line(std::uint64_t id, Status status,
@@ -53,8 +58,15 @@ using Response = BasicResponse<Value>;
 /// Whitespace-split.
 [[nodiscard]] std::vector<std::string> split_tokens(const std::string& line);
 
-/// Consume one "."-terminated document from the front of `rest` (the string
-/// form of irserve's read_document).  False when the terminator is missing.
+/// Consume one "."-terminated document from the front of `rest`: the lines
+/// before the first line that is "." followed by nothing but CRs.  False
+/// when the terminator is missing; `doc` then holds all of `rest`.
+///
+/// The view form copies nothing: `doc` views the document's bytes in
+/// `rest`, each line with its '\n' and any CRs before it, which the
+/// readers trim.  The string form is the wire twin of irserve's
+/// read_document: each line loses its trailing CRs and ends in '\n'.
+[[nodiscard]] bool take_document(std::string_view& rest, std::string_view& doc);
 [[nodiscard]] bool take_document(std::string_view& rest, std::string& doc);
 
 /// Decoded attributes of a solve command (`id=`, `deadline_ms=`, `engine=`,
@@ -77,8 +89,8 @@ struct SolveArgs {
 /// std::exception on a malformed system/values document (the caller answers
 /// status=invalid with the message).
 template <typename Request>
-void fill_request(const SolveArgs& args, const std::string& sys_doc,
-                  const std::string& values_doc, Request* out) {
+void fill_request(const SolveArgs& args, std::string_view sys_doc,
+                  std::string_view values_doc, Request* out) {
   out->sys = core::system_from_text(sys_doc);
   if (args.inline_values) {
     const auto doubles = core::values_from_text(values_doc);

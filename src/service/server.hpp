@@ -6,8 +6,9 @@
 //   if (response.ok()) use(response.values);
 //   server.drain();                          // stop admitting, finish the rest
 //
-// Requests are keyed by plan_cache_key(system, options); queued requests
-// sharing a key are coalesced into ONE compile (served by the server's
+// Requests are keyed by plan_key(system, options), computed once per request
+// (by ShardRouter when it routes, else at submit); queued requests sharing a
+// key are coalesced into ONE compile (served by the server's
 // content-addressed PlanCache) and ONE execute_many — the compile-once /
 // replay-many economics of the plan API (docs/solver_api.md) turned into
 // per-request throughput.  Admission control (hard capacity + watermark
@@ -23,6 +24,7 @@
 #include <functional>
 #include <future>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -55,6 +57,10 @@ class Server {
     core::PlanOptions plan;
     Clock::duration deadline{0};
     std::shared_ptr<std::atomic<bool>> cancel;
+    /// core::plan_key(sys, plan) with plan.pool = nullptr.  Left empty,
+    /// submit computes it; ShardRouter fills it in while routing, so the
+    /// system is hashed once.  IR_VERIFY_PLANS builds check a carried key.
+    std::optional<core::PlanKey> key;
   };
 
   explicit Server(Op op, const ServiceConfig& config = {})
@@ -108,7 +114,9 @@ class Server {
       return;
     }
     request.plan.pool = nullptr;  // placement is the server's, not the caller's
-    pending->coalesce_key = core::plan_cache_key(request.sys, request.plan);
+    // The one hash of the request: it coalesces, and it finds the plan.
+    pending->key = request.key ? *request.key : core::plan_key(request.sys, request.plan);
+    pending->coalesce_key = pending->key.key;
     if (request.deadline.count() > 0) {
       pending->deadline = Clock::now() + request.deadline;
     }
@@ -176,6 +184,7 @@ class Server {
   struct Pending : detail::PendingBase {
     core::GeneralIrSystem sys;
     core::PlanOptions options;
+    core::PlanKey key;  ///< plan_key(sys, options); coalesce_key is its .key
     std::vector<Value> initial;
     std::vector<Value> values;  ///< solved array, set by execute_batch for kOk
     std::function<void(Response&&)> deliver;
@@ -216,7 +225,7 @@ class Server {
       // function of (content fingerprint, options), so the first member's
       // system stands in for the whole group.
       auto& first = static_cast<Pending&>(*batch.front());
-      plan = solver_.compile(first.sys, first.options);
+      plan = solver_.compile(first.sys, first.options, first.key);
     } catch (const std::exception& e) {
       fail_all(std::string("compile failed: ") + e.what());
       return;

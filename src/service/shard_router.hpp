@@ -3,8 +3,9 @@
 //
 // Each shard is a full Server<Op> — its own Solver (own PlanCache, own
 // single-flight compile table), its own dispatcher pool, its own admission
-// queue — and requests route by consistent-hashing their `plan_cache_key`
-// (core/hash_ring.hpp).  Two properties fall out:
+// queue — and requests route by consistent-hashing their plan key
+// (core/hash_ring.hpp), which then rides on the request to its shard.  Two
+// properties fall out:
 //
 //   * The plan cache's single mutex stops being a global chokepoint: a hot
 //     plan's lookups serialize only against its own shard's traffic.
@@ -59,19 +60,17 @@ class ShardRouter {
   /// ring of one always answers 0, so the key is not hashed at all.
   [[nodiscard]] std::size_t shard_for(const Request& request) const {
     if (shards_.size() == 1) return 0;
-    core::PlanOptions options = request.plan;
-    options.pool = nullptr;  // the server nulls it too; keep the key canonical
-    return ring_.shard_for(core::plan_cache_key(request.sys, options));
+    return ring_.shard_for(request.key ? request.key->key : key_of(request).key);
   }
 
   void submit_callback(Request request, std::function<void(Response&&)> done) {
-    const std::size_t shard = shard_for(request);
-    shards_[shard]->submit_callback(std::move(request), std::move(done));
+    Shard& shard = route(request);
+    shard.submit_callback(std::move(request), std::move(done));
   }
 
   [[nodiscard]] std::future<Response> submit_async(Request request) {
-    const std::size_t shard = shard_for(request);
-    return shards_[shard]->submit_async(std::move(request));
+    Shard& shard = route(request);
+    return shard.submit_async(std::move(request));
   }
 
   [[nodiscard]] Response submit(Request request) {
@@ -114,6 +113,19 @@ class ShardRouter {
   [[nodiscard]] const core::HashRing& ring() const noexcept { return ring_; }
 
  private:
+  static core::PlanKey key_of(const Request& request) {
+    core::PlanOptions options = request.plan;
+    options.pool = nullptr;  // the server nulls it too; keep the key canonical
+    return core::plan_key(request.sys, options);
+  }
+
+  /// The shard for `request`.  Past a ring of one, the key it routes on
+  /// rides on the request, so the shard does not hash the system again.
+  Shard& route(Request& request) const {
+    if (shards_.size() > 1 && !request.key) request.key = key_of(request);
+    return *shards_[shard_for(request)];
+  }
+
   static void accumulate(ServiceStats& total, const ServiceStats& s) {
     total.accepted += s.accepted;
     total.rejected_queue_full += s.rejected_queue_full;

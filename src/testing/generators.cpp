@@ -1,6 +1,8 @@
 #include "testing/generators.hpp"
 
 #include <algorithm>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "support/contract.hpp"
@@ -166,6 +168,28 @@ std::string join_lines(const std::vector<std::string_view>& lines) {
   return out;
 }
 
+bool is_digit(char c) noexcept { return c >= '0' && c <= '9'; }
+
+/// Index of a random occurrence of `c` in non-empty `text`, or npos.
+std::size_t random_occurrence(const std::string& text, char c, support::SplitMix64& rng) {
+  const std::size_t at = text.find(c, rng.below(text.size()));
+  return at != std::string::npos ? at : text.find(c);
+}
+
+/// [begin, end) of a random run of decimal digits in non-empty `text`;
+/// begin is npos when it has none.
+std::pair<std::size_t, std::size_t> random_number(const std::string& text,
+                                                  support::SplitMix64& rng) {
+  constexpr const char* kDigits = "0123456789";
+  std::size_t begin = text.find_first_of(kDigits, rng.below(text.size()));
+  if (begin == std::string::npos) begin = text.find_first_of(kDigits);
+  if (begin == std::string::npos) return {begin, begin};
+  while (begin > 0 && is_digit(text[begin - 1])) --begin;
+  std::size_t end = begin;
+  while (end < text.size() && is_digit(text[end])) ++end;
+  return {begin, end};
+}
+
 }  // namespace
 
 std::string_view to_string(ShapeClass shape) {
@@ -228,14 +252,13 @@ core::OrdinaryIrSystem to_ordinary(const core::GeneralIrSystem& sys) {
 
 std::string mutate_document(const std::string& text, support::SplitMix64& rng) {
   if (text.empty()) return "garbage\n";
-  switch (rng.below(6)) {
+  std::string out = text;
+  switch (rng.below(12)) {
     case 0:  // truncate mid-document
       return text.substr(0, rng.below(text.size()));
-    case 1: {  // corrupt one byte
-      std::string out = text;
+    case 1:  // corrupt one byte
       out[rng.below(out.size())] = static_cast<char>(rng.below(256));
       return out;
-    }
     case 2: {  // duplicate a line (duplicate headers / duplicate counts)
       auto lines = split_lines(text);
       if (lines.empty()) return text + text;
@@ -251,7 +274,7 @@ std::string mutate_document(const std::string& text, support::SplitMix64& rng) {
     }
     case 4: {  // overflow-sized count: reserve()-bombs must become parse errors
       auto lines = split_lines(text);
-      std::string out;
+      out.clear();
       bool rewrote = false;
       for (const auto line : lines) {
         std::string s(line);
@@ -268,12 +291,40 @@ std::string mutate_document(const std::string& text, support::SplitMix64& rng) {
       if (!rewrote) return text.substr(0, text.size() / 2);
       return out;
     }
-    default: {  // insert a garbage line
+    case 5: {  // insert a garbage line
       auto lines = split_lines(text);
       const std::size_t pick = lines.empty() ? 0 : rng.below(lines.size() + 1);
       lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(pick),
                    "0 -3 18446744073709551616 x");
       return join_lines(lines);
+    }
+    case 6: {  // widen a number to 20 digits (zero-padded, same value) or to 2^64
+      const auto [begin, end] = random_number(text, rng);
+      if (begin == std::string::npos) return text + "18446744073709551616\n";
+      const std::size_t digits = end - begin;
+      const std::string wide = rng.chance(0.5) && digits < 20
+                                   ? std::string(20 - digits, '0') + text.substr(begin, digits)
+                                   : std::string("18446744073709551616");
+      return out.replace(begin, digits, wide);
+    }
+    case 7: {  // CRLF: a '\r' before a '\n'
+      const std::size_t at = random_occurrence(text, '\n', rng);
+      return at == std::string::npos ? out + '\r' : out.insert(at, 1, '\r');
+    }
+    case 8: {  // a tab for a space
+      const std::size_t at = random_occurrence(text, ' ', rng);
+      if (at != std::string::npos) out[at] = '\t';
+      return out;
+    }
+    case 9:  // a '#' comment from a random point to the end of its line
+      return out.insert(rng.below(out.size() + 1), rng.chance(0.5) ? " # note" : "#");
+    case 10:  // drop the final newline
+      if (out.back() == '\n') out.pop_back();
+      return out;
+    default: {  // a sign before a number
+      const std::size_t begin = random_number(text, rng).first;
+      if (begin != std::string::npos) out.insert(begin, 1, rng.chance(0.5) ? '+' : '-');
+      return out;
     }
   }
 }

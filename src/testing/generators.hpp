@@ -78,9 +78,12 @@ struct GeneratedCase {
 
 /// Apply one random structure-agnostic mutation to a serialized document:
 /// truncation, byte corruption, line duplication (duplicate headers), line
-/// deletion, garbage insertion, or an overflow-sized count.  Parsers must
-/// either accept the result or throw ContractViolation with a line number —
-/// any other escape (crash, bad_alloc, std::exception) is a bug.
+/// deletion, garbage insertion, or an overflow-sized count; or one at the
+/// edges of the readers' one-pass line scan: a number widened to 20 digits
+/// or to 2^64, a '\r' before a '\n', a tab for a space, a mid-line '#'
+/// comment, a dropped final newline, or a sign before a number.  Parsers
+/// must either accept the result or throw ContractViolation with a line
+/// number — any other escape (crash, bad_alloc, std::exception) is a bug.
 [[nodiscard]] std::string mutate_document(const std::string& text,
                                           support::SplitMix64& rng);
 

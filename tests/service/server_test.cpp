@@ -180,6 +180,27 @@ TEST(ServiceServerTest, ConcurrentSubmitsCompileOnePlanAndMatchOracle) {
   EXPECT_EQ(stats.in_flight, 0u);
 }
 
+TEST(ServiceServerTest, OneSystemSubmittedTwiceCompilesOnceThenHitsTheCache) {
+  // Each request's one plan key coalesces it and finds its plan: the first
+  // submit compiles under it, the second is a cache hit.
+  support::SplitMix64 rng(43);
+  const auto sys = embed(testing::random_ordinary_system(200, 300, rng, 0.7));
+  const auto init = iota_initial(sys.cells);
+  const algebra::ModMulMonoid op(1'000'000'007ull);
+  const auto oracle = core::general_ir_sequential(op, sys, init);
+
+  Server<algebra::ModMulMonoid> server(op, ServiceConfig{});
+  for (int k = 0; k < 2; ++k) {
+    const auto response = server.submit(make_request<algebra::ModMulMonoid>(sys, init));
+    ASSERT_EQ(response.status, Status::kOk) << response.error;
+    EXPECT_EQ(response.values, oracle);
+  }
+  const ServiceStats stats = server.stats();
+  EXPECT_EQ(stats.plan_compiles, 1u);
+  EXPECT_EQ(stats.plan_cache_misses, 1u);
+  EXPECT_EQ(stats.plan_cache_hits, 1u);
+}
+
 TEST(ServiceServerTest, GatedBatchCoalescesQueuedSameKeyRequests) {
   const auto sys = embed(chain_system(32));
   const auto init = iota_initial(sys.cells);

@@ -63,6 +63,25 @@ TEST(ShardRouter, DistinctPlansSpreadAcrossShards) {
   EXPECT_GE(shards.size(), 3u) << "64 distinct plans landed on too few shards";
 }
 
+TEST(ShardRouter, RoutingKeyRidesToTheShard) {
+  // Past a ring of one the router hashes each request once and hands its
+  // key to the shard, which compiles and finds the plan under it: one
+  // system submitted twice is one compile and one cache hit on its shard.
+  Router sharded(op(), ServiceConfig{}, 4);
+  Router single(op(), ServiceConfig{}, 1);
+  const std::size_t home = sharded.shard_for(make_request(48));
+  for (int k = 0; k < 2; ++k) {
+    const auto routed = sharded.submit(make_request(48));
+    const auto direct = single.submit(make_request(48));
+    ASSERT_EQ(routed.status, Status::kOk) << routed.error;
+    EXPECT_EQ(routed.values, direct.values);
+  }
+  const ServiceStats stats = sharded.shard_stats(home);
+  EXPECT_EQ(stats.plan_compiles, 1u);
+  EXPECT_EQ(stats.plan_cache_hits, 1u);
+  EXPECT_EQ(sharded.stats().plan_compiles, 1u);
+}
+
 TEST(ShardRouter, ShardedValuesMatchUnsharded) {
   ServiceConfig config;
   config.dispatchers = 1;

@@ -321,7 +321,10 @@ int run_http_differential(const Config& config) {
     const auto c = testing::generate_case(shape, rng, limits);
     const auto expected = core::general_ir_sequential(
         op, c.sys, lp::default_initial(c.sys.cells));
-    const std::string want = lp::values_line(expected);
+    // Rendered here, not by lp::values_line: the server formats its reply
+    // with that function, so a formatter bug would cancel itself out.
+    std::string want = "values " + std::to_string(expected.size());
+    for (const auto v : expected) want += " " + std::to_string(v);
 
     net::HttpClientResponse response;
     const std::string body = core::to_text(c.sys) + ".\n";

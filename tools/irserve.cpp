@@ -283,8 +283,8 @@ class ReplyWriter {
                    lp::error_line(id, response.status, response.error).c_str());
       return;
     }
-    std::fprintf(out_, "%s\n%s\n", lp::ok_line(id, response).c_str(),
-                 lp::values_line(response.values).c_str());
+    const std::string reply = lp::ok_reply(id, response);
+    std::fwrite(reply.data(), 1, reply.size(), out_);
   }
 
   std::FILE* out_;
